@@ -8,13 +8,14 @@ polynomials sum of x^mark.
 Two engines:
 
 ``hetero_count_product``
-    multiply the dice polynomials and read the coefficient. Works for any
-    marks.
+    multiply the dice polynomials, as a balanced tree of pairwise products,
+    and read the coefficient. Works for any marks.
 
 ``hetero_count_closed_form``
     for dice marked 1..m_i only: expand the product of (1 - x^(m_i)) into
-    signed terms, shift by the number of dice, and divide by (1 - x)^k via
-    binomials. Evaluates single coefficients without building the product.
+    signed terms, merging like terms after each factor, shift by the number
+    of dice, and divide by (1 - x)^k via binomials. Evaluates single
+    coefficients without building the product.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homogeneous import binomial
-from .series import Count, IntPoly, coeff, intpoly, poly_mul
+from .series import Count, IntPoly, _product, coeff, intpoly
 
 SignedTerm = tuple[int, int]  # (coefficient, exponent)
 
@@ -74,10 +75,7 @@ def hetero_count_product(pool: DicePool, N: int) -> Count:
     """Ordered outcomes of the pool summing to N, by polynomial product."""
     if N < 0:
         raise ValueError("target sum must be nonnegative")
-    acc = intpoly((1,), N)
-    for die in pool.dice:
-        acc = poly_mul(acc, _die_poly(die, N), N)
-    return coeff(acc, N)
+    return coeff(_product([_die_poly(die, N) for die in pool.dice], N), N)
 
 
 def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
@@ -86,9 +84,7 @@ def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
     The counts add up to the number of outcomes (the product of the face
     counts).
     """
-    acc = intpoly((1,))
-    for die in pool.dice:
-        acc = poly_mul(acc, _die_poly(die))
+    acc = _product([_die_poly(die) for die in pool.dice])
     return [(e, c) for e, c in enumerate(acc.coeffs) if c]
 
 
@@ -106,11 +102,22 @@ def numerator_terms(face_counts: tuple[int, ...]) -> list[SignedTerm]:
     return terms
 
 
-def _merged(terms: list[SignedTerm]) -> list[SignedTerm]:
-    acc: dict[int, int] = {}
-    for s, e in terms:
-        acc[e] = acc.get(e, 0) + s
-    return sorted((c, e) for e, c in acc.items() if c)
+def _merged_numerator(face_counts: tuple[int, ...]) -> dict[int, int]:
+    """prod (1 - x^(m_i)) as {exponent: nonzero coefficient}.
+
+    Like terms are merged after each factor, so there are never more than
+    sum(m_i) + 1 of them and the expansion costs O(k * sum(m_i)) rather
+    than the 2^k of :func:`numerator_terms`.
+    """
+    acc = {0: 1}
+    for m in face_counts:
+        if not isinstance(m, int) or m < 1:
+            raise ValueError("face counts must be positive ints")
+        nxt = dict(acc)
+        for e, c in acc.items():
+            nxt[e + m] = nxt.get(e + m, 0) - c
+        acc = {e: c for e, c in nxt.items() if c}
+    return acc
 
 
 def hetero_count_closed_form(face_counts: tuple[int, ...], N: int) -> Count:
@@ -127,7 +134,7 @@ def hetero_count_closed_form(face_counts: tuple[int, ...], N: int) -> Count:
     if k < 1:
         raise ValueError("need at least one die")
     total = 0
-    for c, e in _merged(numerator_terms(face_counts)):
+    for e, c in _merged_numerator(face_counts).items():
         shifted = e + k
         if shifted <= N:
             total += c * binomial(N - shifted + k - 1, k - 1)

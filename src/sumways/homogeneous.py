@@ -171,7 +171,11 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
     value = 1
     for step in _lambda_steps(q.n, q.m, q.N):
         value = step.value
-    assert value >= 0
+    if value < 0:
+        raise RuntimeError(
+            "recurrence ended at negative count %d for n=%d m=%d N=%d"
+            % (value, q.n, q.m, q.N)
+        )
     return value
 
 

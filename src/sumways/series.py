@@ -9,11 +9,21 @@ Combining rule for bounds: exact values combine with anything; two values
 truncated at the same bound combine freely; two different finite bounds are
 rejected unless the caller explicitly asks for a result bound that is no
 wider than the narrowest input window. Nothing is ever re-truncated silently.
+
+Products use Kronecker substitution (Schoenhage 1982; Harvey, J. Symb.
+Comput. 2009): both operands are packed into single integers with one
+coefficient per fixed-width slot, multiplied once by CPython's big-int
+multiply, and unpacked. Slots are wide enough for every product
+coefficient, so the result is exact. Powers use binary powering, and
+products of many factors a balanced tree of pairwise products.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, sub
 from typing import Iterable, Sequence
 
 Count = int
@@ -100,43 +110,114 @@ def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
     return intpoly(out, rb)
 
 
+def _magnitude_bits(cs: Sequence[int]) -> tuple[int, bool]:
+    """Bit length of the largest |coefficient|, and whether any is negative."""
+    lo = min(cs)
+    return max(max(cs), -lo).bit_length(), lo < 0
+
+
+def _slot_ones(n: int, width: int) -> int:
+    """The integer with a 1 at the bottom of each of n slots."""
+    return int.from_bytes((b"\x01" + bytes(width - 1)) * n, "little")
+
+
+def _pack(cs: Sequence[int], width: int, signed: bool) -> int:
+    """The integer sum of cs[i] * 2^(8*width*i), built in one pass.
+
+    Each coefficient is written as ``width`` little-endian bytes. A signed
+    operand is written with every slot biased by half a slot, so each slot
+    is nonnegative, and the bias is taken off again in one big-int
+    subtraction, which makes all the two's-complement borrows at once.
+    """
+    if not signed:
+        return int.from_bytes(
+            b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))), "little"
+        )
+    half = 1 << (8 * width - 1)
+    biased = map(int.to_bytes, map(add, cs, repeat(half)), repeat(width), repeat("little"))
+    return int.from_bytes(b"".join(biased), "little") - half * _slot_ones(len(cs), width)
+
+
+def _unpack(packed: int, n: int, width: int, signed: bool) -> list[int]:
+    """The first n slots of a packed value, as coefficients.
+
+    A signed value gets half a slot added to every slot first, which makes
+    the carries out of negative slots in one big-int addition; each slot
+    then holds coefficient + half with no carry left to propagate.
+    """
+    half = 1 << (8 * width - 1)
+    if signed:
+        packed += half * _slot_ones(n, width)
+    nbytes = n * width
+    data = (packed & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
+    fields = struct.Struct("%ds" % width * n).unpack(data)
+    slots = map(int.from_bytes, fields, repeat("little"))
+    if signed:
+        return list(map(sub, slots, repeat(half)))
+    return list(slots)
+
+
 def poly_mul(a: IntPoly, b: IntPoly, bound: int | None = None) -> IntPoly:
     """Exact product, optionally truncated at ``bound``.
 
-    Schoolbook convolution, skipping zero coefficients of the sparser
-    operand; quadratic is plenty at the scales this package works at.
+    Kronecker substitution: each operand is packed into one integer, one
+    coefficient per slot of whole bytes, the two integers are multiplied
+    once by CPython's big-int multiply (Karatsuba), and the product's slots
+    are read back as the coefficients. A slot holds
+    bitlen(max|a|) + bitlen(max|b|) + bitlen(min(len a, len b)) bits plus a
+    sign bit, enough for any coefficient of the product, so every count is
+    exact. Under a bound, both operands are cut to bound+1 terms first and
+    only the first bound+1 slots are read. Packing and unpacking are
+    linear in the number of bytes.
     """
     rb = _combined_bound(a, b, bound)
-    if not a.coeffs or not b.coeffs:
+    ac, bc = a.coeffs, b.coeffs
+    if not ac or not bc:
         return IntPoly((), rb)
-    nnz_a = sum(1 for c in a.coeffs if c)
-    nnz_b = sum(1 for c in b.coeffs if c)
-    if nnz_b < nnz_a:
-        a, b = b, a
-    cap = len(a.coeffs) + len(b.coeffs) - 2
-    if rb is not None:
-        cap = min(cap, rb)
-    out = [0] * (cap + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0 or i > cap:
-            continue
-        jmax = min(len(b.coeffs) - 1, cap - i)
-        for j in range(jmax + 1):
-            bj = b.coeffs[j]
-            if bj:
-                out[i + j] += ai * bj
-    return intpoly(out, rb)
+    n = len(ac) + len(bc) - 1
+    if rb is not None and rb < n - 1:
+        n = rb + 1
+        ac, bc = ac[:n], bc[:n]
+    a_bits, a_signed = _magnitude_bits(ac)
+    b_bits, b_signed = (a_bits, a_signed) if a is b else _magnitude_bits(bc)
+    bits = a_bits + b_bits + min(len(ac), len(bc)).bit_length() + 1  # + sign
+    width = (bits + 7) // 8
+    packed_a = _pack(ac, width, a_signed)
+    packed_b = packed_a if a is b else _pack(bc, width, b_signed)
+    product = _unpack(packed_a * packed_b, n, width, a_signed or b_signed)
+    while product and not product[-1]:
+        product.pop()
+    return IntPoly(tuple(product), rb)
 
 
 def poly_pow(base: IntPoly, k: int, bound: int | None = None) -> IntPoly:
-    """k-th power by repeated multiplication; k = 0 gives 1."""
+    """k-th power by binary powering; k = 0 gives 1.
+
+    Squares for each bit of k below the top one, and multiplies by the base
+    for each set bit: about 2*log2(k) products instead of k.
+    """
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a nonnegative int")
     rb = _combined_bound(base, base, bound)
-    result = intpoly((1,), rb)
-    for _ in range(k):
-        result = poly_mul(result, base, rb)
+    if k == 0:
+        return intpoly((1,), rb)
+    result = intpoly(base.coeffs, rb)
+    for bit in bin(k)[3:]:
+        result = poly_mul(result, result, rb)
+        if bit == "1":
+            result = poly_mul(result, base, rb)
     return result
+
+
+def _product(factors: Sequence[IntPoly], bound: int | None = None) -> IntPoly:
+    """Product of one or more factors as a balanced tree of pairwise
+    products, so each multiply joins operands of about the same size."""
+    while len(factors) > 1:
+        paired = [poly_mul(a, b, bound) for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0]
 
 
 def divide_by_one_minus_x_pow(num: IntPoly, k: int, bound: int) -> IntPoly:

@@ -99,6 +99,18 @@ def test_closed_form_equals_product_everywhere():
             ), (faces, N)
 
 
+def test_closed_form_thirty_dice():
+    # 2^30 unmerged numerator terms; merged after each factor there are at
+    # most sum(faces) + 1
+    faces = tuple(range(1, 31))
+    pool = consecutive_pool(faces)
+    top = sum(faces)
+    for N in (0, 29, 30, 31, 100, top // 2, top // 2 + 31, top - 1, top, top + 1):
+        assert hetero_count_closed_form(faces, N) == hetero_count_product(
+            pool, N
+        ), N
+
+
 def test_matches_homogeneous_engines():
     for n in (1, 2, 3):
         for m in (2, 5, 6):

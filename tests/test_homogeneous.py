@@ -1,5 +1,6 @@
 import pytest
 
+from sumways import homogeneous
 from sumways.heterogeneous import consecutive_pool
 from sumways.homogeneous import (
     ENGINE_ORDER,
@@ -94,6 +95,16 @@ def test_lambda_known_values():
     assert count_lambda_recurrence(HomoQuery(6, 6, 29)) == 756
     assert count_lambda_recurrence(HomoQuery(4, 6, 3)) == 0
     assert count_lambda_recurrence(HomoQuery(4, 6, 4)) == 1
+
+
+def test_lambda_negative_count_raises(monkeypatch):
+    # a recurrence that ends below zero must raise even under python -O
+    def bad_steps(n, m, N):
+        yield homogeneous.LambdaStep(1, -1, -1)
+
+    monkeypatch.setattr(homogeneous, "_lambda_steps", bad_steps)
+    with pytest.raises(RuntimeError, match="negative count -1"):
+        count_lambda_recurrence(HomoQuery(2, 6, 3))
 
 
 def test_lambda_trace_final_steps():

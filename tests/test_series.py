@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from sumways.heterogeneous import consecutive_pool, hetero_distribution
 from sumways.series import (
     BiPoly,
     IntPoly,
+    _product,
     coeff,
     coeff2,
     divide_by_one_minus_x_pow,
@@ -16,6 +20,20 @@ from sumways.series import (
 )
 
 DIE6 = intpoly([0, 1, 1, 1, 1, 1, 1])
+
+
+def schoolbook(a, b, bound=None):
+    """Reference product of two coefficient sequences by direct convolution,
+    independent of the kernel under test; canonical, cut at ``bound``."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    if bound is not None:
+        del out[bound + 1 :]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def rand_poly(rng, max_deg=8, max_abs=9, bound=None):
@@ -186,3 +204,111 @@ def test_inverse_product_grid_rejects_bad_steps():
         inverse_product_grid([(0, 0)], (2, 2))
     with pytest.raises(ValueError):
         inverse_product_grid([(-1, 1)], (2, 2))
+
+
+# -- the Kronecker kernel against the schoolbook reference --------------------
+
+
+@st.composite
+def coeff_lists(draw, max_len=24):
+    """Signed coefficients of 1 to 1000 bits, dense or mostly zero."""
+    bits = draw(st.integers(1, 1000))
+    top = (1 << bits) - 1
+    value = st.integers(-top, top)
+    if draw(st.booleans()):
+        value = st.one_of(st.just(0), st.just(0), st.just(0), value)
+    return draw(st.lists(value, max_size=max_len))
+
+
+bounds = st.one_of(st.none(), st.integers(0, 50))
+
+
+def examples(n):
+    """n examples per property, with no per-example deadline or generation
+    speed check, which a loaded machine would fail on big coefficients."""
+    return settings(
+        max_examples=n, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+
+
+@examples(200)
+@given(coeff_lists(), coeff_lists(), bounds)
+@example([], [1, 2], None)
+@example([5, -3], [], 0)
+@example([0, 0, 7], [1, 1], 0)
+@example([1, 1], [1, -1], 1)
+def test_mul_matches_schoolbook(a, b, bound):
+    got = poly_mul(intpoly(a), intpoly(b), bound)
+    assert got.coeffs == schoolbook(a, b, bound)
+    assert got.bound == bound
+
+
+@examples(60)
+@given(coeff_lists(), bounds)
+def test_square_matches_schoolbook(a, bound):
+    p = intpoly(a)
+    assert poly_mul(p, p, bound).coeffs == schoolbook(a, a, bound)
+
+
+@examples(100)
+@given(coeff_lists(), coeff_lists(), st.data())
+def test_mixed_bounds_with_explicit_result_bound(a, b, data):
+    ba = data.draw(st.integers(0, 30))
+    bb = data.draw(st.integers(0, 30))
+    rb = data.draw(st.integers(0, min(ba, bb)))
+    got = poly_mul(intpoly(a, ba), intpoly(b, bb), rb)
+    assert got.bound == rb
+    assert got.coeffs == schoolbook(a[: ba + 1], b[: bb + 1], rb)
+
+
+@examples(100)
+@given(coeff_lists(max_len=10), st.integers(1, 20), st.integers(0, 40))
+def test_cancellation_strips_top_slots(p, j, bound):
+    # p * (1 + ... + x^(j-1)) * (1 - x) = p * (1 - x^j): under a bound that
+    # ends inside the gap, the retained top slots cancel to zero
+    a = schoolbook(p, [1] * j)
+    got = poly_mul(intpoly(a), intpoly([1, -1]), bound)
+    assert got.coeffs == schoolbook(a, [1, -1], bound)
+    if len(p) <= bound < j:
+        assert got.coeffs == intpoly(p).coeffs
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
+def test_coefficients_at_slot_boundary(width):
+    half = 1 << (8 * width - 1)
+    for c in (half - 1, half, half + 1):
+        for a in ([c, c, c], [c, -c, c], [-c, 0, -c], [c] * 255, [-c, c] * 127):
+            for b in ([c], [-c, c], [c] * 255, a):
+                assert poly_mul(intpoly(a), intpoly(b)).coeffs == schoolbook(a, b)
+
+
+@examples(60)
+@given(coeff_lists(max_len=8), st.integers(0, 9), bounds)
+def test_pow_matches_schoolbook(a, k, bound):
+    expect = (1,)
+    for _ in range(k):
+        expect = schoolbook(expect, a, bound)
+    got = poly_pow(intpoly(a), k, bound)
+    assert got.coeffs == expect
+    assert got.bound == bound
+
+
+@examples(60)
+@given(st.lists(coeff_lists(max_len=8), min_size=1, max_size=9), bounds)
+def test_pool_product_matches_schoolbook(factors, bound):
+    expect = schoolbook(factors[0], [1], bound)
+    for f in factors[1:]:
+        expect = schoolbook(expect, f, bound)
+    got = _product([intpoly(f, bound) for f in factors], bound)
+    assert got.coeffs == expect
+    assert got.bound == bound
+
+
+@examples(40)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=12))
+def test_hetero_distribution_matches_schoolbook(faces):
+    expect = (1,)
+    for m in faces:
+        expect = schoolbook(expect, [0] + [1] * m)
+    dist = hetero_distribution(consecutive_pool(tuple(faces)))
+    assert dist == [(e, c) for e, c in enumerate(expect) if c]
