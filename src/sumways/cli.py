@@ -19,6 +19,7 @@ carries counts as decimal strings and round-trips through json.loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,7 +41,7 @@ from .polygonal import (
     polygonal_series,
 )
 from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
-from .series import coeff2, poly_pow
+from .series import intpoly, poly_pow
 
 
 class CliError(Exception):
@@ -194,14 +195,10 @@ def cmd_polygonal_check(args) -> int:
     if args.unordered:
         parts = polygonal_parts(args.sides, args.upto, include_zero=True)
         grid = partition_count_grid(parts, args.power, args.upto)
-        gap = None
-        for N in range(args.upto + 1):
-            if coeff2(grid, N, args.power) == 0:
-                gap = N
-                break
+        power = intpoly([row[args.power] for row in grid.grid], args.upto)
     else:
         power = poly_pow(polygonal_series(spec), args.power, args.upto)
-        gap = check_all_positive(power, args.upto)
+    gap = check_all_positive(power, args.upto)
     if gap is None:
         print("all exponents 0..%d representable" % args.upto)
     else:
@@ -292,7 +289,13 @@ def cmd_verify_paper(args) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged, so one parser serves every call of
+    :func:`main` in a process. Callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="sumways",
         description="Exact counting of dice sums and related representation problems.",
@@ -384,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

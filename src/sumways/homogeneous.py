@@ -8,7 +8,8 @@ compute it by genuinely different routes and exist to check one another:
 
 ``count_table_add_die``
     tabulate every (N, n) up to given maxima by adding one die at a time:
-    (N)(n) = (N-1)(n) + (N-1)(n-1) - (N-1-m)(n-1).
+    (N)(n) = (N-1)(n) + (N-1)(n-1) - (N-1-m)(n-1). Unrolled over N this is
+    one running sum, so each column is built from the previous one whole.
 
 ``count_lambda_recurrence``
     walk the offset lam = N - n upward through a three-term recurrence
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
+from operator import sub
 
 from .series import Count, coeff, intpoly, poly_pow
 
@@ -99,14 +102,28 @@ class CountTable:
         return tuple(row[n - 1] for row in self.entries)
 
 
+def _add_die_columns(m: int, n_max: int, N_max: int):
+    """Yield the columns n = 1..n_max of counts over N = 0..N_max.
+
+    Summing the add-a-die recurrence over N gives
+    (N)(n) = sum over k < N of (k)(n-1) - (k-m)(n-1): column n is a zero
+    followed by the running sum of column n-1 minus itself shifted down by
+    m. The walk starts from no dice at all, (N)(0) = 1 at N = 0 only.
+    """
+    col = [1] + [0] * N_max
+    for _ in range(n_max):
+        col = [0, *islice(accumulate(map(sub, col, chain(repeat(0, m), col))), N_max)]
+        yield col
+
+
 def count_table_add_die(m: int, n_max: int, N_max: int) -> CountTable:
     """Tabulate counts by adding one die at a time.
 
-    The first column is the single die itself. Every later cell comes from
-    the previous row: throwing one more die and reading the face that
-    completes the sum gives
+    Throwing one more die and reading the face that completes the sum gives
     (N)(n) = (N-1)(n) + (N-1)(n-1) - (N-1-m)(n-1),
-    out-of-range references counting as 0.
+    out-of-range references counting as 0. Each column is computed whole
+    from the previous one as a running sum, starting from zero dice; the
+    rows of the table are the columns transposed.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("need at least one face")
@@ -114,17 +131,7 @@ def count_table_add_die(m: int, n_max: int, N_max: int) -> CountTable:
         raise ValueError("need at least one column")
     if not isinstance(N_max, int) or N_max < 1:
         raise ValueError("need at least one row")
-    rows = [[0] * n_max for _ in range(N_max + 1)]
-    for N in range(1, min(m, N_max) + 1):
-        rows[N][0] = 1
-    for n in range(2, n_max + 1):
-        j = n - 1
-        for N in range(1, N_max + 1):
-            v = rows[N - 1][j] + rows[N - 1][j - 1]
-            if N - 1 - m >= 0:
-                v -= rows[N - 1 - m][j - 1]
-            rows[N][j] = v
-    return CountTable(m, n_max, N_max, tuple(tuple(r) for r in rows))
+    return CountTable(m, n_max, N_max, tuple(zip(*_add_die_columns(m, n_max, N_max))))
 
 
 @dataclass(frozen=True)
@@ -207,11 +214,10 @@ def count_closed_form(q: HomoQuery) -> Count:
 
 
 def count_add_die(q: HomoQuery) -> Count:
-    """Point query answered through the add-a-die table."""
-    if q.N == 0:
-        return 0
-    table = count_table_add_die(q.m, q.n, q.N)
-    return table.count(q.N, q.n)
+    """Point query answered by the add-a-die columns; only the last is read."""
+    for col in _add_die_columns(q.m, q.n, q.N):
+        pass
+    return col[q.N]
 
 
 ENGINE_ORDER = ("poly", "add-die", "lambda", "closed")

@@ -295,3 +295,39 @@ def test_output_is_deterministic(run_cli):
     second = run_cli("table", "--faces", "5", "--max-dice", "4", "--max-sum", "20",
                      "--format", "json")
     assert first == second
+
+
+REPEATED_CALLS = [
+    "hetero --die 1..6 --die 2,4 --sum 7",
+    "hetero --die 1..4",
+    "hetero --die 1..3 --die 1..3 --die 0,5 --format csv",
+    "virgins --gen 1:3 --gen 1:1 --targets 30:50 --list 3",
+    "virgins --gen 1:3 --gen 1:1 --gen 2:1 --targets 20:30 --positive",
+    "virgins --gen 2:1 --targets 10:5",
+    "count --dice 2 --faces 6 --sum 7 --engine all --oracle",
+    "count --dice 2 --faces 6 --sum 7",
+    "count --dice 2 --faces 6 --sum nope",
+    "count --dice 3 --faces 6 --sum 10 --format json",
+    "hetero --sum 3",
+    "polygonal-check --sides 4 --power 3 --upto 40 --unordered",
+    "polygonal-check --sides 4 --power 3 --upto 40",
+]
+
+
+def test_main_reuses_one_parser(capsys):
+    """Calls in a row through the shared parser print exactly what a freshly
+    built parser prints: appended options, flags and errors do not leak."""
+
+    def run(argv):
+        code = cli.main(argv.split())
+        return (code, *capsys.readouterr())
+
+    fresh = []
+    for argv in REPEATED_CALLS:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    assert [run(argv) for argv in REPEATED_CALLS * 2] == fresh * 2
+    assert cli.build_parser() is parser
+    assert [code for code, _, _ in fresh].count(2) == 2

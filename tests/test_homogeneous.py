@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumways import homogeneous
 from sumways.heterogeneous import consecutive_pool
@@ -243,3 +245,55 @@ def test_counts_never_negative_past_support():
         for m in (2, 6):
             for N in range(m * n + 1, m * n + 4):
                 assert counts_by_all_engines(n, m, N) == [0, 0, 0, 0]
+
+
+# Property tests of the add-a-die columns. Bounded example counts and no
+# per-example deadline keep them fast and steady on a loaded machine.
+bounded = settings(max_examples=80, deadline=None)
+
+
+@st.composite
+def like_dice_queries(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 12))
+    return HomoQuery(n, m, draw(st.integers(0, n * m + 2)))
+
+
+@bounded
+@given(like_dice_queries())
+@example(HomoQuery(1, 1, 1))
+@example(HomoQuery(3, 1, 4))
+@example(HomoQuery(2, 12, 5))
+@example(HomoQuery(1, 6, 0))
+@example(HomoQuery(40, 12, 482))
+def test_add_die_matches_closed_form_and_lambda(q):
+    assert count_add_die(q) == count_closed_form(q) == count_lambda_recurrence(q)
+
+
+@bounded
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 3))
+@example(1, 5, 0)
+@example(9, 1, 0)
+@example(12, 12, 3)
+def test_table_columns_sum_to_m_pow_n_and_are_symmetric(m, n_max, extra):
+    table = count_table_add_die(m, n_max, m * n_max + extra)
+    for n in range(1, n_max + 1):
+        col = table.column(n)
+        support = col[n : m * n + 1]
+        assert sum(col) == sum(support) == m**n, (m, n)
+        assert support == support[::-1], (m, n)
+        assert support[0] == support[-1] == 1
+
+
+@bounded
+@given(st.integers(1, 20), st.integers(1, 10), st.integers(1, 60))
+@example(12, 3, 5)
+@example(7, 1, 60)
+@example(1, 4, 2)
+def test_truncated_table_cells_match_closed_form(m, n_max, N_max):
+    table = count_table_add_die(m, n_max, N_max)
+    assert len(table.entries) == N_max + 1
+    assert all(len(row) == n_max for row in table.entries)
+    for N in range(N_max + 1):
+        for n in range(1, n_max + 1):
+            assert table.count(N, n) == count_closed_form(HomoQuery(n, m, N)), (N, n)
