@@ -10,6 +10,7 @@ compute it by genuinely different routes and exist to check one another:
     tabulate every (N, n) up to given maxima by adding one die at a time:
     (N)(n) = (N-1)(n) + (N-1)(n-1) - (N-1-m)(n-1). Unrolled over N this is
     one running sum, so each column is built from the previous one whole.
+    ``count_add_die`` answers a point query from the last column.
 
 ``count_lambda_recurrence``
     walk the offset lam = N - n upward through a three-term recurrence
@@ -25,16 +26,34 @@ dice total P, the useful structural facts are: support is n..m*n with value
 ((n+lam)(n) = (m*n-lam)(n)), each column sums to m^n, and below the first
 wraparound (lam < m) the count is the plain composition count
 C(n+lam-1, lam).
+
+The two expanding engines, ``count_poly`` and ``count_add_die``, remember
+what they expanded, per die shape (n, m), since one expansion holds the
+count for every sum. Each expands out to the window
+min(n*m, 2^bitlen(N)): the least power of two above N, capped at the full
+support. An entry answers every later sum with the same window: N from
+window/2 to window - 1, or, once the window is capped, every N from the
+top power of two below n*m upward (past the support the count is 0). A
+miss expands at most about twice as far as N needs, so it costs at most
+about 3x an expansion to N alone, and never expands the full support for
+a small N. Each engine keeps its own memo of at most SHAPE_MEMO_SIZE
+entries, the least recently used dropped first, so the two routes stay
+independent. An entry holds window+1 exact counts of at most n*log2(m)
+bits each: about 77 KB for (190, 6) at window 1024, so each memo, full of
+such shapes, holds about 2.5 MB. The λ recurrence and the closed form keep
+no memo: they are the cheap, memo-free check the other two are compared
+against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
 
-from .series import Count, coeff, intpoly, poly_pow
+from .series import Count, IntPoly, coeff, intpoly, poly_pow
 
 
 class DivisibilityError(RuntimeError):
@@ -67,11 +86,29 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+# Entries each expanding engine keeps, one per (n, m, window).
+SHAPE_MEMO_SIZE = 32
+
+
+def _window(q: HomoQuery) -> int:
+    """Largest sum an expansion for q keeps: the least power of two above
+    N, capped at the full support n*m."""
+    return min(q.n * q.m, 1 << q.N.bit_length())
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def _die_power(n: int, m: int, window: int) -> IntPoly:
+    return poly_pow(intpoly([0] + [1] * m), n, bound=window)
+
+
 def count_poly(q: HomoQuery) -> Count:
-    """Coefficient of x^N in (x + x^2 + ... + x^m)^n."""
-    die = intpoly([0] + [1] * q.m)
-    power = poly_pow(die, q.n, bound=q.N)
-    return coeff(power, q.N)
+    """Coefficient of x^N in (x + x^2 + ... + x^m)^n.
+
+    The power is expanded out to the window of the module docstring and
+    remembered per (n, m, window), so a shape seen before answers any sum
+    in the same window without multiplying.
+    """
+    return coeff(_die_power(q.n, q.m, _window(q)), q.N)
 
 
 @dataclass(frozen=True)
@@ -213,14 +250,23 @@ def count_closed_form(q: HomoQuery) -> Count:
     return total
 
 
-def count_add_die(q: HomoQuery) -> Count:
-    """Point query answered by the add-a-die columns; only the last is read."""
-    for col in _add_die_columns(q.m, q.n, q.N):
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def _last_add_die_column(n: int, m: int, window: int) -> tuple[Count, ...]:
+    for col in _add_die_columns(m, n, window):
         pass
-    return col[q.N]
+    return tuple(col)
 
 
-ENGINE_ORDER = ("poly", "add-die", "lambda", "closed")
+def count_add_die(q: HomoQuery) -> Count:
+    """Point query answered by the add-a-die columns; only the last is read.
+
+    The last column is built over the window of the module docstring and
+    remembered per (n, m, window), in a memo of its own; a sum past the
+    support reads 0.
+    """
+    col = _last_add_die_column(q.n, q.m, _window(q))
+    return col[q.N] if q.N < len(col) else 0
+
 
 ENGINES = {
     "poly": count_poly,
@@ -228,3 +274,5 @@ ENGINES = {
     "lambda": count_lambda_recurrence,
     "closed": count_closed_form,
 }
+
+ENGINE_ORDER = tuple(ENGINES)

@@ -15,6 +15,7 @@ shifting both targets by one copy of every generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Literal
 
 from .series import Count, coeff2, inverse_product_grid
@@ -67,6 +68,24 @@ def rv_count_solutions(sys: LinearSystem2) -> Count:
     return coeff2(grid, n, v)
 
 
+def _solutions(gens, lo: int, rn: int, rv: int, prefix: list[int]):
+    """Yield every completion of prefix by generators gens[len(prefix):],
+    each x at least lo, that leaves both remaining targets rn and rv at
+    zero, in lexicographic order."""
+    a, b = gens[len(prefix)]
+    if len(prefix) == len(gens) - 1:
+        # the last generator's x is fixed by the remaining targets
+        x = rn // a if a else rv // b
+        if x >= lo and a * x == rn and b * x == rv:
+            yield (*prefix, x)
+        return
+    hi = min(rn // a if a else rv // b, rv // b if b else rn // a)
+    for x in range(lo, hi + 1):
+        prefix.append(x)
+        yield from _solutions(gens, lo, rn - a * x, rv - b * x, prefix)
+        prefix.pop()
+
+
 def rv_enumerate_solutions(
     sys: LinearSystem2, cap: int
 ) -> tuple[list[tuple[int, ...]], bool]:
@@ -78,34 +97,8 @@ def rv_enumerate_solutions(
     if not isinstance(cap, int) or cap < 0:
         raise ValueError("cap must be nonnegative")
     lo = 1 if sys.mode == "positive" else 0
-    gens = sys.generators
-    out: list[tuple[int, ...]] = []
-    truncated = False
-
-    def walk(i: int, rn: int, rv: int, prefix: list[int]) -> bool:
-        # returns False to stop the whole search (cap exceeded)
-        if i == len(gens):
-            if rn == 0 and rv == 0:
-                if len(out) == cap:
-                    return False
-                out.append(tuple(prefix))
-            return True
-        a, b = gens[i]
-        hi_candidates = []
-        if a:
-            hi_candidates.append(rn // a)
-        if b:
-            hi_candidates.append(rv // b)
-        hi = min(hi_candidates)
-        for x in range(lo, hi + 1):
-            prefix.append(x)
-            ok = walk(i + 1, rn - a * x, rv - b * x, prefix)
-            prefix.pop()
-            if not ok:
-                return False
-        return True
-
     n, v = sys.targets
-    if not walk(0, n, v, []):
-        truncated = True
+    out = list(islice(_solutions(sys.generators, lo, n, v, []), cap + 1))
+    truncated = len(out) > cap
+    del out[cap:]
     return out, truncated

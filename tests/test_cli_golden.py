@@ -75,19 +75,31 @@ INVOCATIONS = [
 ]
 
 
+def run(line: str) -> str:
+    """One invocation's part of the transcript."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(line.split())
+    return "$ sumways %s\n[exit %d]\n%s" % (line, code, out.getvalue())
+
+
 def render() -> str:
     """Run every invocation in order; the transcript the golden file holds."""
-    parts = []
-    for line in INVOCATIONS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(line.split())
-        parts.append("$ sumways %s\n[exit %d]\n%s" % (line, code, out.getvalue()))
-    return "".join(parts)
+    return "".join(map(run, INVOCATIONS))
 
 
 def test_cli_stdout_matches_golden():
     assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_reverse_replay_with_warm_memos_matches_golden():
+    # Output must never depend on what earlier calls left in the engines'
+    # memos: after a forward pass, every invocation replayed last to first
+    # prints its golden part again.
+    forward = [run(line) for line in INVOCATIONS]
+    backward = [run(line) for line in reversed(INVOCATIONS)]
+    assert "".join(forward) == GOLDEN.read_text(encoding="utf-8")
+    assert backward[::-1] == forward
 
 
 if __name__ == "__main__":

@@ -297,3 +297,74 @@ def test_truncated_table_cells_match_closed_form(m, n_max, N_max):
     for N in range(N_max + 1):
         for n in range(1, n_max + 1):
             assert table.count(N, n) == count_closed_form(HomoQuery(n, m, N)), (N, n)
+
+
+# Property tests of the per-shape memo of the two expanding engines. Each
+# example starts from empty memos, so a failure replays the same way.
+MEMOS = (homogeneous._die_power, homogeneous._last_add_die_column)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+@st.composite
+def query_sequences(draw):
+    """Queries over a pool of up to SHAPE_MEMO_SIZE + 8 die shapes, each
+    with any N from 0 to past the support, in any order: shapes repeat, N
+    grows and shrinks, and a long enough run evicts."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 12)),
+                           min_size=1, max_size=homogeneous.SHAPE_MEMO_SIZE + 8,
+                           unique=True))
+    queries = []
+    for _ in range(draw(st.integers(1, 3 * len(shapes)))):
+        n, m = draw(st.sampled_from(shapes))
+        queries.append(HomoQuery(n, m, draw(st.integers(0, n * m + 3))))
+    return queries
+
+
+@settings(max_examples=40, deadline=None)
+@given(query_sequences())
+@example([HomoQuery(6, 6, 25), HomoQuery(6, 6, 5), HomoQuery(6, 6, 36),
+          HomoQuery(6, 6, 37), HomoQuery(6, 6, 3), HomoQuery(6, 6, 25)])
+@example([HomoQuery(n, 3, 2 * n) for n in range(1, 45)]
+         + [HomoQuery(n, 3, N) for n in (1, 2, 3) for N in (0, n, 2 * n, 3 * n, 3 * n + 1)])
+def test_memoized_engines_match_closed_form_on_any_query_sequence(queries):
+    clear_memos()
+    for q in queries:
+        expected = count_closed_form(q)
+        assert count_poly(q) == expected, q
+        assert count_add_die(q) == expected, q
+    for memo in MEMOS:
+        assert memo.cache_info().currsize <= homogeneous.SHAPE_MEMO_SIZE
+
+
+def test_memo_evicts_least_recent_shape_and_recomputes_it():
+    clear_memos()
+    size = homogeneous.SHAPE_MEMO_SIZE
+    shapes = [(n, 4) for n in range(1, size + 6)]
+    for n, m in shapes:
+        assert count_poly(HomoQuery(n, m, 2 * n)) == count_add_die(HomoQuery(n, m, 2 * n))
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (size, len(shapes), 0)
+    q = HomoQuery(1, 4, 2)  # the first shape, evicted long ago
+    assert count_poly(q) == count_add_die(q) == count_closed_form(q) == 1
+    for memo in MEMOS:
+        assert memo.cache_info().misses == len(shapes) + 1
+
+
+def test_memo_entry_serves_every_sum_in_its_window():
+    clear_memos()
+    n, m = 190, 6
+    for N in range(512, 1024, 37):
+        q = HomoQuery(n, m, N)
+        assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
+    for memo in MEMOS:
+        assert memo.cache_info().misses == 1
+    for N in (1024, 1140, 1141, 5000):  # windows capped at the support n*m
+        q = HomoQuery(n, m, N)
+        assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
+    for memo in MEMOS:
+        assert memo.cache_info().misses == 2

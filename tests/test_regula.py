@@ -2,6 +2,8 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumways.oracle import brute_regula
 from sumways.regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
@@ -136,3 +138,31 @@ def test_two_nonsingular_generators_at_most_one_solution():
             for mode in ("nonnegative", "positive"):
                 sys = LinearSystem2(((a1, b1), (a2, b2)), targets, mode)
                 assert rv_count_solutions(sys) <= 1, (a1, b1, a2, b2, targets, mode)
+
+
+def brute_solutions(sys):
+    """Every solution in lexicographic order, by nested loops over each
+    variable's full range."""
+    n, v = sys.targets
+    lo = 1 if sys.mode == "positive" else 0
+    ranges = [range(lo, max(n, v) + 1) for _ in sys.generators]
+    return [xs for xs in product(*ranges)
+            if sum(a * x for (a, _), x in zip(sys.generators, xs)) == n
+            and sum(b * x for (_, b), x in zip(sys.generators, xs)) == v]
+
+
+generators = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda g: g != (0, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(generators, min_size=1, max_size=3), st.integers(0, 9), st.integers(0, 9),
+       st.sampled_from(("nonnegative", "positive")), st.integers(0, 12))
+@example([(0, 1)], 0, 3, "nonnegative", 5)
+@example([(2, 0), (1, 1)], 4, 1, "positive", 0)
+@example([(1, 1), (1, 1)], 6, 6, "nonnegative", 7)
+def test_enumeration_matches_brute_force_under_any_cap(gens, n, v, mode, cap):
+    sys = LinearSystem2(tuple(gens), (n, v), mode)
+    every = brute_solutions(sys)
+    sols, truncated = rv_enumerate_solutions(sys, cap)
+    assert sols == every[:cap]
+    assert truncated == (len(every) > cap)
