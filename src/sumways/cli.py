@@ -169,9 +169,8 @@ def cmd_hetero(args) -> int:
     dist = hetero_distribution(pool)
     total = pool.outcome_count
     if args.format == "plain":
-        for e, c in dist:
-            print("%d %d" % (e, c))
-        print("total %d" % total)
+        lines = ["%d %d" % ec for ec in dist]
+        print("\n".join([*lines, "total %d" % total]))
     elif args.format == "json":
         _emit_json(
             {
@@ -181,10 +180,8 @@ def cmd_hetero(args) -> int:
             }
         )
     else:
-        print("sum,count")
-        for e, c in dist:
-            print("%d,%d" % (e, c))
-        print("total,%d" % total)
+        lines = ["%d,%d" % ec for ec in dist]
+        print("\n".join(["sum,count", *lines, "total,%d" % total]))
     return 0
 
 
@@ -387,6 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the exit code is returned, not raised.
+
+    Counts can run to any number of digits, so the interpreter's limit on
+    int-to-decimal conversion (4300 digits by default, where it exists) is
+    lifted for the call and put back afterwards.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _run(argv)
+    saved = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(saved)
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

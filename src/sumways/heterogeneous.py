@@ -8,22 +8,34 @@ polynomials sum of x^mark.
 Two engines:
 
 ``hetero_count_product``
-    multiply the dice polynomials, as a balanced tree of pairwise products,
-    and read the coefficient. Works for any marks.
+    multiply the dice polynomials into one packed accumulator, a big
+    integer with one coefficient per fixed-width slot, and read the
+    coefficient. Works for any marks.
 
 ``hetero_count_closed_form``
     for dice marked 1..m_i only: expand the product of (1 - x^(m_i)) into
     signed terms, merging like terms after each factor, shift by the number
     of dice, and divide by (1 - x)^k via binomials. Evaluates single
     coefficients without building the product.
+
+The product route never multiplies two polynomials. The slot width is fixed
+once, from the pool's outcome count: every coefficient of every partial
+product counts some of the outcomes, so none exceeds it, no slot overflows
+and no slot ever carries into the next. A die is applied as shifted adds:
+its marks fall into runs of consecutive marks that share one multiplicity
+c, and a run lo..lo+len-1 multiplies the accumulator by
+c * x^lo * (1 + x + ... + x^(len-1)), built by doubling in O(log len)
+shifted adds. The whole distribution is unpacked once, at the end; a single
+count keeps only the slots up to N after each die.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .homogeneous import binomial
-from .series import Count, IntPoly, _product, coeff, intpoly
+from .series import Count, _unpack
 
 SignedTerm = tuple[int, int]  # (coefficient, exponent)
 
@@ -63,19 +75,90 @@ def consecutive_pool(face_counts: tuple[int, ...]) -> DicePool:
     return DicePool(tuple(MarkedDie(tuple(range(1, m + 1))) for m in face_counts))
 
 
-def _die_poly(die: MarkedDie, bound: int | None = None) -> IntPoly:
-    top = max(die.marks)
-    cs = [0] * (top + 1)
-    for v in die.marks:
-        cs[v] += 1
-    return intpoly(cs, bound)
+def _runs(die: MarkedDie) -> list[list[int]]:
+    """[lo, length, multiplicity] for each maximal run of consecutive marks
+    that share one multiplicity, ascending."""
+    counts = Counter(die.marks)
+    runs: list[list[int]] = []
+    for v in sorted(counts):
+        c = counts[v]
+        if runs and runs[-1][0] + runs[-1][1] == v and runs[-1][2] == c:
+            runs[-1][1] += 1
+        else:
+            runs.append([v, 1, c])
+    return runs
+
+
+def _times_ones(acc: int, length: int, slot: int) -> int:
+    """acc * (1 + x + ... + x^(length-1)) with x = 2^slot, by doubling.
+
+    Walks the bits of ``length`` from the top: each bit doubles the run
+    (add a copy shifted by the run so far), a set bit then lengthens it by
+    one (shift by one slot and add acc).
+    """
+    run, have = acc, 1
+    for bit in bin(length)[3:]:
+        run += run << (have * slot)
+        have *= 2
+        if bit == "1":
+            run = acc + (run << slot)
+            have += 1
+    return run
+
+
+def _slot_bytes(pool: DicePool) -> int:
+    """Bytes per slot: enough for the outcome count, which bounds every
+    coefficient of every partial product."""
+    return (pool.outcome_count.bit_length() + 7) // 8
+
+
+def _add_die(
+    acc: int, runs: list[list[int]], slot: int, limit: int | None = None
+) -> int:
+    """The packed accumulator times the die's polynomial over x^(lowest mark).
+
+    Under ``limit``, runs starting past it are skipped and runs reaching
+    past it are cut at it.
+    """
+    base = runs[0][0]
+    out = 0
+    for lo, length, c in runs:
+        lo -= base
+        if limit is not None:
+            if lo > limit:
+                break
+            length = min(length, limit + 1 - lo)
+        term = _times_ones(acc, length, slot)
+        # skip the no-op steps (times 1, shift by 0, 0 + term): each would
+        # copy the whole accumulator
+        if c != 1:
+            term *= c
+        if lo:
+            term <<= lo * slot
+        out = out + term if out else term
+    return out
 
 
 def hetero_count_product(pool: DicePool, N: int) -> Count:
-    """Ordered outcomes of the pool summing to N, by polynomial product."""
+    """Ordered outcomes of the pool summing to N, by polynomial product.
+
+    Each die takes its lowest mark off N, and the accumulator keeps only
+    the slots up to what is left. A sum past the support reads 0 at once,
+    so no slot mask is ever wider than the product itself.
+    """
     if N < 0:
         raise ValueError("target sum must be nonnegative")
-    return coeff(_product([_die_poly(die, N) for die in pool.dice], N), N)
+    if N > sum(max(die.marks) for die in pool.dice):
+        return 0
+    slot = 8 * _slot_bytes(pool)
+    acc = 1
+    for die in pool.dice:
+        runs = _runs(die)
+        N -= runs[0][0]
+        if N < 0:
+            return 0
+        acc = _add_die(acc, runs, slot, N) & ((1 << (slot * (N + 1))) - 1)
+    return acc >> (N * slot)
 
 
 def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
@@ -84,8 +167,15 @@ def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
     The counts add up to the number of outcomes (the product of the face
     counts).
     """
-    acc = _product([_die_poly(die) for die in pool.dice])
-    return [(e, c) for e, c in enumerate(acc.coeffs) if c]
+    width = _slot_bytes(pool)
+    acc, low = 1, 0
+    for die in pool.dice:
+        runs = _runs(die)
+        low += runs[0][0]
+        acc = _add_die(acc, runs, 8 * width)
+    top = sum(max(die.marks) for die in pool.dice)
+    slots = _unpack(acc, top - low + 1, width, False)
+    return [(e, c) for e, c in enumerate(slots, low) if c]
 
 
 def numerator_terms(face_counts: tuple[int, ...]) -> list[SignedTerm]:

@@ -206,11 +206,12 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
                      - (m*n+m-lam) * (n+lam-m)(n)
                      + (m*n-n+m+1-lam) * (n+lam-m-1)(n)
 
-    seeded with (n)(n) = 1 and zeros below. Intermediate products are signed;
+    seeded with (n)(n) = 1 and zeros below; a sum outside the support n..n*m
+    is 0 without a step. Intermediate products are signed;
     every division is exact (a remainder raises DivisibilityError, since it
     would mean the values are not the counts this recurrence characterizes).
     """
-    if q.N < q.n:
+    if q.N < q.n or q.N > q.n * q.m:
         return 0
     value = 1
     for step in _lambda_steps(q.n, q.m, q.N):

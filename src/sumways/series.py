@@ -14,15 +14,14 @@ Products use Kronecker substitution (Schoenhage 1982; Harvey, J. Symb.
 Comput. 2009): both operands are packed into single integers with one
 coefficient per fixed-width slot, multiplied once by CPython's big-int
 multiply, and unpacked. Slots are wide enough for every product
-coefficient, so the result is exact. Powers use binary powering, and
-products of many factors a balanced tree of pairwise products.
+coefficient, so the result is exact. Powers use binary powering.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -43,9 +42,12 @@ class IntPoly:
     def __post_init__(self) -> None:
         if not isinstance(self.coeffs, tuple):
             raise ValueError("coeffs must be a tuple")
-        for c in self.coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError("coefficients must be ints")
+        # one pass at C speed; only a cell that is not exactly an int sends
+        # the check to the loop, which accepts int subclasses but bool
+        if not set(map(type, self.coeffs)) <= {int}:
+            for c in self.coeffs:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise ValueError("coefficients must be ints")
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("not canonical: trailing zero coefficient")
         if self.bound is not None:
@@ -209,17 +211,6 @@ def poly_pow(base: IntPoly, k: int, bound: int | None = None) -> IntPoly:
     return result
 
 
-def _product(factors: Sequence[IntPoly], bound: int | None = None) -> IntPoly:
-    """Product of one or more factors as a balanced tree of pairwise
-    products, so each multiply joins operands of about the same size."""
-    while len(factors) > 1:
-        paired = [poly_mul(a, b, bound) for a, b in zip(factors[::2], factors[1::2])]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return factors[0]
-
-
 def divide_by_one_minus_x_pow(num: IntPoly, k: int, bound: int) -> IntPoly:
     """Quotient num / (1 - x)^k as a series truncated at ``bound``.
 
@@ -261,6 +252,12 @@ class BiPoly:
             raise ValueError("bounds must be nonnegative")
         if len(self.grid) != bu + 1:
             raise ValueError("grid has %d rows, expected %d" % (len(self.grid), bu + 1))
+        # passes at C speed, as in IntPoly; the loop runs only when they see
+        # a row of another length or a cell that is not exactly an int
+        if set(map(len, self.grid)) == {bv + 1} and set(
+            map(type, chain.from_iterable(self.grid))
+        ) <= {int}:
+            return
         for row in self.grid:
             if len(row) != bv + 1:
                 raise ValueError("ragged grid row")

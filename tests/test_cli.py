@@ -1,4 +1,5 @@
 import json
+import sys
 
 from sumways import cli
 from sumways.homogeneous import binomial
@@ -331,3 +332,27 @@ def test_main_reuses_one_parser(capsys):
     assert [run(argv) for argv in REPEATED_CALLS * 2] == fresh * 2
     assert cli.build_parser() is parser
     assert [code for code, _, _ in fresh].count(2) == 2
+
+
+def test_counts_of_any_length_print_in_full(run_cli):
+    # C(29999, 14999) has 9029 digits, past the interpreter's default limit
+    # of 4300 on int-to-decimal conversion; main lifts the limit for its own
+    # call and restores the caller's setting afterwards
+    limits = hasattr(sys, "set_int_max_str_digits")
+    if limits:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+    try:
+        code, out, err = run_cli(
+            "count", "--dice", "15001", "--faces", "20000", "--sum", "30000",
+            "--engine", "closed",
+        )
+        assert (code, err) == (0, "")
+        if limits:
+            assert sys.get_int_max_str_digits() == 5000
+            sys.set_int_max_str_digits(0)
+        assert out == "%d\n" % binomial(29999, 14999)
+        assert len(out) == 9029 + 1
+    finally:
+        if limits:
+            sys.set_int_max_str_digits(saved)

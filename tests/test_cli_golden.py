@@ -74,6 +74,24 @@ INVOCATIONS = [
     "verify-paper --table s22",
 ]
 
+# Pools of unlike dice: consecutive, gapped, duplicated and zero marks, 30
+# and 60 dice, each full distribution in every format.
+MIXED_DICE = ("1..4", "1..6", "1..8", "1..10", "1..12", "1..20", "0,2,2,5",
+              "3..5", "1,1,1,6", "2,3,5,7,11")
+for k in (30, 60):
+    pool = " ".join("--die " + spec for spec in (MIXED_DICE * 6)[:k])
+    INVOCATIONS += ["hetero %s --format %s" % (pool, fmt) for fmt in ("plain", "json", "csv")]
+# Duplicate and zero marks and a one-face die; sums 0..4 lie below the
+# support 5..21, 22 past it.
+ODD_POOL = "--die 0,0,3,3,3,7 --die 5 --die 0,1,1,9"
+INVOCATIONS += ["hetero %s" % ODD_POOL] + [
+    "hetero %s --sum %d" % (ODD_POOL, N) for N in (0, 4, 5, 9, 12, 21, 22, 1000)
+]
+# Every coefficient is 2^8 or 2^16: exactly one past a slot of 8 or 16 bits.
+for k in (8, 16):
+    INVOCATIONS += ["hetero %s" % " ".join(["--die 0,0"] * k),
+                    "hetero %s --sum 0 --format csv" % " ".join(["--die 0,0"] * k)]
+
 
 def run(line: str) -> str:
     """One invocation's part of the transcript."""

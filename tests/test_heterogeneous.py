@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumways.heterogeneous import (
     DicePool,
@@ -109,6 +111,20 @@ def test_closed_form_thirty_dice():
         assert hetero_count_closed_form(faces, N) == hetero_count_product(
             pool, N
         ), N
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=20), st.data())
+def test_closed_form_equals_product_on_random_pools(faces, data):
+    # two independent routes: signed binomials against the packed product,
+    # at sums from below the support to past it
+    faces = tuple(faces)
+    pool = consecutive_pool(faces)
+    dist = dict(hetero_distribution(pool))
+    sums = st.integers(0, sum(faces) + 2)
+    for N in data.draw(st.lists(sums, min_size=1, max_size=6)):
+        closed = hetero_count_closed_form(faces, N)
+        assert closed == hetero_count_product(pool, N) == dist.get(N, 0), N
 
 
 def test_matches_homogeneous_engines():

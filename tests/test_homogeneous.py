@@ -109,6 +109,15 @@ def test_lambda_negative_count_raises(monkeypatch):
         count_lambda_recurrence(HomoQuery(2, 6, 3))
 
 
+def test_lambda_past_support_takes_no_step(monkeypatch):
+    def no_steps(n, m, N):
+        raise AssertionError("walked the recurrence past the support")
+
+    monkeypatch.setattr(homogeneous, "_lambda_steps", no_steps)
+    assert count_lambda_recurrence(HomoQuery(2, 6, 10**6)) == 0
+    assert count_lambda_recurrence(HomoQuery(2, 6, 13)) == 0
+
+
 def test_lambda_trace_final_steps():
     # the two documented worked divisions: 54264/19 and 17388/23
     trace = lambda_recurrence_trace(HomoQuery(6, 6, 25))

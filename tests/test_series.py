@@ -4,11 +4,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sumways.heterogeneous import consecutive_pool, hetero_distribution
+from sumways.heterogeneous import (
+    DicePool,
+    MarkedDie,
+    hetero_count_product,
+    hetero_distribution,
+)
 from sumways.series import (
     BiPoly,
     IntPoly,
-    _product,
     coeff,
     coeff2,
     divide_by_one_minus_x_pow,
@@ -41,12 +45,19 @@ def rand_poly(rng, max_deg=8, max_abs=9, bound=None):
     return intpoly(cs, bound)
 
 
+class Small(int):
+    pass
+
+
 def test_intpoly_canonical():
     assert intpoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert intpoly([]).coeffs == ()
     assert intpoly([0, 0]).coeffs == ()
     assert intpoly([1, 2, 3, 4], bound=1).coeffs == (1, 2)
     assert intpoly([1, 0, 0, 4], bound=2).coeffs == (1,)
+    # an int subclass other than bool is an int
+    assert IntPoly((Small(3),)).coeffs == (3,)
+    assert coeff2(BiPoly(((1,), (Small(2),)), (1, 0)), 1, 0) == 2
 
 
 def test_intpoly_rejects_noncanonical():
@@ -56,6 +67,9 @@ def test_intpoly_rejects_noncanonical():
         IntPoly((1, 2, 3), bound=1)
     with pytest.raises(ValueError):
         IntPoly((True,))
+    for cell in (True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            IntPoly((1, cell))
     with pytest.raises(ValueError):
         intpoly([1], bound=-1)
 
@@ -178,6 +192,9 @@ def test_bipoly_shape():
         BiPoly(((0, 0),), (1, 1))
     with pytest.raises(ValueError):
         BiPoly(((0, 0), (0,)), (1, 1))
+    for cell in (True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            BiPoly(((1, 0), (cell, 2)), (1, 1))
     g = BiPoly(((1, 0), (0, 2)), (1, 1))
     assert coeff2(g, 1, 1) == 2
     assert coeff2(g, 2, 0) == 0
@@ -293,22 +310,34 @@ def test_pow_matches_schoolbook(a, k, bound):
     assert got.bound == bound
 
 
+# Any marks, duplicates allowed, or runs of consecutive marks up to 40 long
+# taken one to three times each.
+die_marks = st.one_of(
+    st.lists(st.integers(0, 20), min_size=1, max_size=8),
+    st.builds(
+        lambda lo, m, c: list(range(lo, lo + m)) * c,
+        st.integers(0, 3),
+        st.integers(1, 40),
+        st.integers(1, 3),
+    ),
+)
+
+
 @examples(60)
-@given(st.lists(coeff_lists(max_len=8), min_size=1, max_size=9), bounds)
-def test_pool_product_matches_schoolbook(factors, bound):
-    expect = schoolbook(factors[0], [1], bound)
-    for f in factors[1:]:
-        expect = schoolbook(expect, f, bound)
-    got = _product([intpoly(f, bound) for f in factors], bound)
-    assert got.coeffs == expect
-    assert got.bound == bound
-
-
-@examples(40)
-@given(st.lists(st.integers(1, 20), min_size=1, max_size=12))
-def test_hetero_distribution_matches_schoolbook(faces):
+@given(st.lists(die_marks, min_size=1, max_size=12))
+@example([list(range(1, m + 1)) for m in (6, 8, 12)])
+@example([[0, 0]] * 8)
+@example([[0, 0]] * 16)
+@example([[7]])
+def test_hetero_distribution_matches_schoolbook(dice):
     expect = (1,)
-    for m in faces:
-        expect = schoolbook(expect, [0] + [1] * m)
-    dist = hetero_distribution(consecutive_pool(tuple(faces)))
-    assert dist == [(e, c) for e, c in enumerate(expect) if c]
+    for marks in dice:
+        die = [0] * (max(marks) + 1)
+        for v in marks:
+            die[v] += 1
+        expect = schoolbook(expect, die)
+    pool = DicePool(tuple(MarkedDie(tuple(marks)) for marks in dice))
+    assert hetero_distribution(pool) == [(e, c) for e, c in enumerate(expect) if c]
+    # every truncated count, from below the support to past it
+    for N, want in enumerate(expect + (0, 0)):
+        assert hetero_count_product(pool, N) == want, N
