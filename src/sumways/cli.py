@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .golden import GOLDEN_TABLE_IDS, VerifyReport, verify_against_paper
@@ -82,8 +81,23 @@ def parse_pair(spec: str, what: str) -> tuple[int, int]:
         raise CliError("bad %s %r: expected a:b" % (what, spec)) from None
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+# The JSON replies are written directly, laid out as json.dumps(obj,
+# indent=2) lays them out. Their leaves are ints and decimal strings and
+# their keys are fixed names, so nothing needs escaping.
+_COUNT_JSON = '{\n  "dice": %d,\n  "faces": %d,\n  "sum": %d,\n  "counts": {\n%s\n  }\n}'
+_TABLE_JSON = '{\n  "m": %d,\n  "n_max": %d,\n  "N_max": %d,\n  "rows": [\n%s\n  ]\n}'
+_TABLE_ROW_JSON = '    {\n      "N": %d,\n      "counts": [\n        "%s"\n      ]\n    }'
+_SUM_JSON = '{\n  "dice": %s,\n  "sum": %d,\n  "count": "%d"\n}'
+_DIST_JSON = '{\n  "dice": %s,\n  "total": "%d",\n  "distribution": [\n%s\n  ]\n}'
+_DIST_ENTRY_JSON = '    {\n      "sum": %d,\n      "count": "%d"\n    }'
+
+
+def _dice_json(pool: DicePool) -> str:
+    """The pool's marks as a JSON list of lists, indented as a top-level value."""
+    return "[\n%s\n  ]" % ",\n".join(
+        "    [\n      %s\n    ]" % ",\n      ".join(map(str, die.marks))
+        for die in pool.dice
+    )
 
 
 def cmd_count(args) -> int:
@@ -94,14 +108,8 @@ def cmd_count(args) -> int:
         for name in names:
             print(counts[name])
     elif args.format == "json":
-        _emit_json(
-            {
-                "dice": q.n,
-                "faces": q.m,
-                "sum": q.N,
-                "counts": {name: str(counts[name]) for name in names},
-            }
-        )
+        lines = ['    "%s": "%d"' % (name, counts[name]) for name in names]
+        print(_COUNT_JSON % (q.n, q.m, q.N, ",\n".join(lines)))
     else:
         print("engine,count")
         for name in names:
@@ -124,28 +132,15 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     table = count_table_add_die(args.faces, args.max_dice, args.max_sum)
+    rows = enumerate(table.entries[1:], 1)
     if args.format == "json":
-        _emit_json(
-            {
-                "m": table.m,
-                "n_max": table.n_max,
-                "N_max": table.N_max,
-                "rows": [
-                    {
-                        "N": N,
-                        "counts": [str(table.count(N, n)) for n in range(1, table.n_max + 1)],
-                    }
-                    for N in range(1, table.N_max + 1)
-                ],
-            }
-        )
+        cells = '",\n        "'.join
+        lines = [_TABLE_ROW_JSON % (N, cells(map(str, row))) for N, row in rows]
+        print(_TABLE_JSON % (table.m, table.n_max, table.N_max, ",\n".join(lines)))
     else:
-        print("N," + ",".join("n=%d" % n for n in range(1, table.n_max + 1)))
-        for N in range(1, table.N_max + 1):
-            print(
-                "%d,%s"
-                % (N, ",".join(str(table.count(N, n)) for n in range(1, table.n_max + 1)))
-            )
+        head = "N," + ",".join("n=%d" % n for n in range(1, table.n_max + 1))
+        lines = ["%d,%s" % (N, ",".join(map(str, row))) for N, row in rows]
+        print("\n".join([head, *lines]))
     return 0
 
 
@@ -153,7 +148,6 @@ def cmd_hetero(args) -> int:
     if not args.die:
         raise CliError("need at least one --die")
     pool = DicePool(tuple(parse_die_spec(s) for s in args.die))
-    dice_lists = [list(d.marks) for d in pool.dice]
     if args.sum is not None:
         if args.sum < 0:
             raise CliError("--sum must be nonnegative")
@@ -161,7 +155,7 @@ def cmd_hetero(args) -> int:
         if args.format == "plain":
             print(count)
         elif args.format == "json":
-            _emit_json({"dice": dice_lists, "sum": args.sum, "count": str(count)})
+            print(_SUM_JSON % (_dice_json(pool), args.sum, count))
         else:
             print("sum,count")
             print("%d,%d" % (args.sum, count))
@@ -172,13 +166,8 @@ def cmd_hetero(args) -> int:
         lines = ["%d %d" % ec for ec in dist]
         print("\n".join([*lines, "total %d" % total]))
     elif args.format == "json":
-        _emit_json(
-            {
-                "dice": dice_lists,
-                "total": str(total),
-                "distribution": [{"sum": e, "count": str(c)} for e, c in dist],
-            }
-        )
+        lines = [_DIST_ENTRY_JSON % ec for ec in dist]
+        print(_DIST_JSON % (_dice_json(pool), total, ",\n".join(lines)))
     else:
         lines = ["%d,%d" % ec for ec in dist]
         print("\n".join(["sum,count", *lines, "total,%d" % total]))
@@ -230,10 +219,24 @@ def cmd_virgins(args) -> int:
     return 0
 
 
-def _format_table1_report(report: VerifyReport) -> list[str]:
+def _format_report(report: VerifyReport) -> list[str]:
+    """A summary line, then one line per mismatch no flagged erratum explains.
+
+    A table without a printed total counts its printed entries only; one
+    with a total also checks the sums it does not print.
+    """
+    if report.printed_total is None:
+        line = "%d/%d printed entries match" % (report.matching, report.total_entries)
+    else:
+        line = "%d/%d entries match" % (report.matching, report.total_entries)
+        if report.printed_total == report.computed_total:
+            line += "; total %d" % report.printed_total
+        else:
+            line += "; printed total %d, computed total %d" % (
+                report.printed_total,
+                report.computed_total,
+            )
     confirmed = [m for m in report.mismatches if m.is_confirmed_erratum]
-    others = [m for m in report.mismatches if not m.is_confirmed_erratum]
-    line = "%d/%d printed entries match" % (report.matching, report.total_entries)
     if confirmed:
         noun = "erratum" if len(confirmed) == 1 else "errata"
         line += "; %d known %s confirmed at %s" % (
@@ -244,29 +247,11 @@ def _format_table1_report(report: VerifyReport) -> list[str]:
                 for m in confirmed
             ),
         )
-    lines = [line]
-    for m in others:
-        lines.append(
-            "mismatch at %s: printed %d, computed %d" % (m.label, m.printed, m.computed)
-        )
-    return lines
-
-
-def _format_s22_report(report: VerifyReport) -> list[str]:
-    line = "%d/%d entries match" % (report.matching, report.total_entries)
-    if report.printed_total == report.computed_total:
-        line += "; total %d" % report.printed_total
-    else:
-        line += "; printed total %d, computed total %d" % (
-            report.printed_total,
-            report.computed_total,
-        )
-    lines = [line]
-    for m in report.mismatches:
-        lines.append(
-            "mismatch at %s: printed %d, computed %d" % (m.label, m.printed, m.computed)
-        )
-    return lines
+    return [line] + [
+        "mismatch at %s: printed %d, computed %d" % (m.label, m.printed, m.computed)
+        for m in report.mismatches
+        if not m.is_confirmed_erratum
+    ]
 
 
 def cmd_verify_paper(args) -> int:
@@ -274,12 +259,8 @@ def cmd_verify_paper(args) -> int:
     status = 0
     for table_id in ids:
         report = verify_against_paper(table_id)
-        if table_id == "table1":
-            lines = _format_table1_report(report)
-        else:
-            lines = _format_s22_report(report)
         prefix = "%s: " % table_id if args.table == "all" else ""
-        for line in lines:
+        for line in _format_report(report):
             print(prefix + line)
         if not report.clean:
             status = 3

@@ -68,63 +68,48 @@ def load_golden(table_id: str) -> dict:
     return json.loads(path.read_text())
 
 
+def _report(table_id: str, cells, **totals) -> VerifyReport:
+    """Compare (label, printed, computed, corrected) cells into a report."""
+    total = 0
+    mismatches = []
+    for label, printed, computed, corrected in cells:
+        total += 1
+        if computed != printed:
+            mismatches.append(Mismatch(label, printed, computed, corrected))
+    return VerifyReport(
+        table_id, total, total - len(mismatches), tuple(mismatches), **totals
+    )
+
+
 def _verify_table1() -> VerifyReport:
     data = load_golden("table1")
-    m, n_max, N_max = data["m"], data["n_max"], data["N_max"]
     errata = {
         (e["N"], e["n"]): int(e["erratum"]["corrected"]) for e in data.get("errata", [])
     }
-    table = count_table_add_die(m, n_max, N_max)
-    total = 0
-    matching = 0
-    mismatches = []
-    for row in data["rows"]:
-        N = row["N"]
-        for n, printed_str in enumerate(row["counts"], start=1):
-            total += 1
-            printed = int(printed_str)
-            computed = table.count(N, n)
-            if computed == printed:
-                matching += 1
-            else:
-                mismatches.append(
-                    Mismatch(
-                        label="(N=%d,n=%d)" % (N, n),
-                        printed=printed,
-                        computed=computed,
-                        corrected=errata.get((N, n)),
-                    )
-                )
-    return VerifyReport("table1", total, matching, tuple(mismatches))
+    entries = count_table_add_die(data["m"], data["n_max"], data["N_max"]).entries
+    cells = (
+        ("(N=%d,n=%d)" % (row["N"], n), int(printed), entries[row["N"]][n - 1],
+         errata.get((row["N"], n)))
+        for row in data["rows"]
+        for n, printed in enumerate(row["counts"], start=1)
+    )
+    return _report("table1", cells)
 
 
 def _verify_s22() -> VerifyReport:
     data = load_golden("s22")
     pool = consecutive_pool(tuple(data["face_counts"]))
     computed = dict(hetero_distribution(pool))
-    total = 0
-    matching = 0
-    mismatches = []
-    seen = set()
-    for entry in data["entries"]:
-        N = entry["N"]
-        seen.add(N)
-        total += 1
-        printed = int(entry["count"])
-        got = computed.get(N, 0)
-        if got == printed:
-            matching += 1
-        else:
-            mismatches.append(Mismatch("(N=%d)" % N, printed, got, None))
+    cells = [
+        ("(N=%d)" % e["N"], int(e["count"]), computed.get(e["N"], 0), None)
+        for e in data["entries"]
+    ]
     # sums the engines reach but the printed table lacks are mismatches too
-    for N in sorted(set(computed) - seen):
-        total += 1
-        mismatches.append(Mismatch("(N=%d)" % N, 0, computed[N], None))
-    return VerifyReport(
+    seen = {e["N"] for e in data["entries"]}
+    cells += [("(N=%d)" % N, 0, computed[N], None) for N in sorted(set(computed) - seen)]
+    return _report(
         "s22",
-        total,
-        matching,
-        tuple(mismatches),
+        cells,
         printed_total=int(data["total"]),
         computed_total=sum(computed.values()),
     )

@@ -14,7 +14,9 @@ compute it by genuinely different routes and exist to check one another:
 
 ``count_lambda_recurrence``
     walk the offset lam = N - n upward through a three-term recurrence
-    whose every step divides exactly; intermediates are signed.
+    whose every step divides exactly; intermediates are signed. A step
+    reads only the last m+1 values, so the walk keeps a window of them:
+    memory is O(m * bits of the count), not O(N * bits).
 
 ``count_closed_form``
     alternating binomial sum: inclusion-exclusion over how many dice are
@@ -48,10 +50,12 @@ against.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
+from typing import NamedTuple
 
 from .series import Count, IntPoly, coeff, intpoly, poly_pow
 
@@ -171,8 +175,7 @@ def count_table_add_die(m: int, n_max: int, N_max: int) -> CountTable:
     return CountTable(m, n_max, N_max, tuple(zip(*_add_die_columns(m, n_max, N_max))))
 
 
-@dataclass(frozen=True)
-class LambdaStep:
+class LambdaStep(NamedTuple):
     """One step of the offset recurrence: value = numerator / lam, exactly."""
 
     lam: int
@@ -181,22 +184,30 @@ class LambdaStep:
 
 
 def _lambda_steps(n: int, m: int, N: int):
-    # vals[lam] is the count for sum n + lam; everything below lam = 0 is 0.
-    vals = [1]
-    top = N - n
-    for lam in range(1, top + 1):
-        numerator = (n + lam - 1) * vals[lam - 1]
-        if lam - m >= 0:
-            numerator -= (m * n + m - lam) * vals[lam - m]
-        if lam - m - 1 >= 0:
-            numerator += (m * n - n + m + 1 - lam) * vals[lam - m - 1]
+    """Yield (lam, numerator, value) for lam = 1..N - n.
+
+    A step reads the values at lam-1, lam-m and lam-m-1 only, so a window
+    keeps the last k+1 values, k = min(m, N-n+1), seeded with k zeros for
+    the offsets below 0 and the 1 at lam = 0. A walk shorter than m never
+    reaches lam >= m, so there the zeros stand in for the values at lam-m
+    and lam-m-1, and a huge m allocates no huge window.
+    """
+    k = min(m, N - n + 1)
+    window = deque([0] * k + [1], maxlen=k + 1)
+    a, b, c = n - 1, m * n + m, m * n - n + m + 1
+    for lam in range(1, N - n + 1):
+        # window[0], window[1], window[-1] hold the values at lam-m-1,
+        # lam-m and lam-1
+        numerator = (
+            (a + lam) * window[-1] - (b - lam) * window[1] + (c - lam) * window[0]
+        )
         value, r = divmod(numerator, lam)
         if r:
             raise DivisibilityError(
                 "step lam=%d for n=%d m=%d left remainder %d" % (lam, n, m, r)
             )
-        vals.append(value)
-        yield LambdaStep(lam, numerator, value)
+        window.append(value)
+        yield lam, numerator, value
 
 
 def count_lambda_recurrence(q: HomoQuery) -> Count:
@@ -210,12 +221,14 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
     is 0 without a step. Intermediate products are signed;
     every division is exact (a remainder raises DivisibilityError, since it
     would mean the values are not the counts this recurrence characterizes).
+    A step reads only the last m+1 values, so only those are kept: memory
+    is O(m * bits of the count), however long the walk.
     """
     if q.N < q.n or q.N > q.n * q.m:
         return 0
     value = 1
-    for step in _lambda_steps(q.n, q.m, q.N):
-        value = step.value
+    for _, _, value in _lambda_steps(q.n, q.m, q.N):
+        pass
     if value < 0:
         raise RuntimeError(
             "recurrence ended at negative count %d for n=%d m=%d N=%d"
@@ -228,7 +241,7 @@ def lambda_recurrence_trace(q: HomoQuery) -> list[LambdaStep]:
     """All recurrence steps from lam = 1 up to lam = N - n, in order."""
     if q.N < q.n:
         return []
-    return list(_lambda_steps(q.n, q.m, q.N))
+    return list(map(LambdaStep._make, _lambda_steps(q.n, q.m, q.N)))
 
 
 def count_closed_form(q: HomoQuery) -> Count:

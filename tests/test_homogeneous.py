@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -377,3 +379,89 @@ def test_memo_entry_serves_every_sum_in_its_window():
         assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
     for memo in MEMOS:
         assert memo.cache_info().misses == 2
+
+
+# The λ recurrence keeps only the last m+1 values. The reference below keeps
+# every value in a list, as the recurrence reads on paper.
+def lambda_steps_keeping_all(n, m, N):
+    vals = [1]  # vals[lam] is the count for sum n + lam
+    steps = []
+    for lam in range(1, N - n + 1):
+        numerator = (n + lam - 1) * vals[lam - 1]
+        if lam >= m:
+            numerator -= (m * n + m - lam) * vals[lam - m]
+        if lam >= m + 1:
+            numerator += (m * n - n + m + 1 - lam) * vals[lam - m - 1]
+        assert numerator % lam == 0
+        vals.append(numerator // lam)
+        steps.append((lam, numerator, vals[-1]))
+    return steps
+
+
+@st.composite
+def lambda_walks(draw):
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 12))
+    ends = st.sampled_from([n - 1, n, n + 1, n * m - 1, n * m, n * m + 1])
+    N = draw(ends | st.integers(0, n * m + 3))
+    return HomoQuery(n, m, N)
+
+
+@bounded
+@given(lambda_walks())
+@example(HomoQuery(1, 1, 1))
+@example(HomoQuery(5, 1, 5))
+@example(HomoQuery(5, 1, 6))
+@example(HomoQuery(7, 1, 9))
+@example(HomoQuery(4, 6, 4))
+@example(HomoQuery(4, 6, 24))
+@example(HomoQuery(4, 6, 25))
+@example(HomoQuery(12, 2, 24))
+def test_lambda_trace_matches_list_keeping_reference(q):
+    trace = lambda_recurrence_trace(q)
+    reference = lambda_steps_keeping_all(q.n, q.m, q.N)
+    assert [(s.lam, s.numerator, s.value) for s in trace] == reference
+    assert all(type(step) is homogeneous.LambdaStep for step in trace)
+    # past the support the walk ends at 0, which the count returns at once
+    expected = reference[-1][2] if reference else int(q.N == q.n)
+    assert count_lambda_recurrence(q) == expected
+
+
+def test_lambda_step_fields_and_immutability():
+    step = lambda_recurrence_trace(HomoQuery(6, 6, 25))[-1]
+    assert repr(step) == "LambdaStep(lam=19, numerator=54264, value=2856)"
+    with pytest.raises(AttributeError):
+        step.value = 0
+
+
+def test_lambda_memory_stays_within_a_window_of_m_values():
+    n, m = 2000, 3
+    q = HomoQuery(n, m, 2 * n)  # the middle of the support: n steps
+    count_bytes = (count_closed_form(q).bit_length() + 7) // 8
+    tracemalloc.start()
+    try:
+        count = count_lambda_recurrence(q)
+        _, windowed_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        reference = lambda_steps_keeping_all(n, m, q.N)
+        _, listed_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == reference[-1][2] == count_closed_form(q)
+    # the window's m+1 values, the step's products and the deque's block,
+    # against n values that a list would keep
+    assert windowed_peak < 32 * count_bytes
+    assert listed_peak > 10 * windowed_peak
+
+
+def test_lambda_short_walk_with_many_faces_allocates_no_window_of_m():
+    q = HomoQuery(2, 10**6, 5)
+    tracemalloc.start()
+    try:
+        count = count_lambda_recurrence(q)
+        trace = lambda_recurrence_trace(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 4 == trace[-1].value
+    assert peak < 64 * 1024  # a window of m zeros would take about 8 MB
