@@ -52,24 +52,12 @@ from .polygonal import (
     polygonal_series,
 )
 from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
-from .series import (
-    BiPoly,
-    IntPoly,
-    coeff,
-    coeff2,
-    divide_by_one_minus_x_pow,
-    intpoly,
-    inverse_product_grid,
-    poly_add,
-    poly_mul,
-    poly_pow,
-)
+from .series import IntPoly, coeff, intpoly, inverse_product_grid, poly_mul, poly_pow
 from .golden import GOLDEN_TABLE_IDS, load_golden, verify_against_paper
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly",
     "BudgetExceededError",
     "CountTable",
     "DEFAULT_BUDGET",
@@ -88,7 +76,6 @@ __all__ = [
     "brute_regula",
     "check_all_positive",
     "coeff",
-    "coeff2",
     "consecutive_pool",
     "count_add_die",
     "count_closed_form",
@@ -96,7 +83,6 @@ __all__ = [
     "count_partitions_with_parts",
     "count_poly",
     "count_table_add_die",
-    "divide_by_one_minus_x_pow",
     "hetero_count_closed_form",
     "hetero_count_product",
     "hetero_distribution",
@@ -105,7 +91,6 @@ __all__ = [
     "lambda_recurrence_trace",
     "load_golden",
     "ordered_representation_counts",
-    "poly_add",
     "poly_mul",
     "poly_pow",
     "polygonal_number",

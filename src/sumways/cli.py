@@ -181,7 +181,7 @@ def cmd_polygonal_check(args) -> int:
     if args.unordered:
         parts = polygonal_parts(args.sides, args.upto, include_zero=True)
         grid = partition_count_grid(parts, args.power, args.upto)
-        power = intpoly([row[args.power] for row in grid.grid], args.upto)
+        power = intpoly([row[args.power] for row in grid], args.upto)
     else:
         power = poly_pow(polygonal_series(spec), args.power, args.upto)
     gap = check_all_positive(power, args.upto)
@@ -389,10 +389,7 @@ def _run(argv: list[str] | None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
+    except (CliError, ValueError, BudgetExceededError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

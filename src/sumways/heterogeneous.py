@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from .homogeneous import binomial
 from .series import Count, _unpack
 
-SignedTerm = tuple[int, int]  # (coefficient, exponent)
-
 
 @dataclass(frozen=True)
 class MarkedDie:
@@ -178,26 +176,12 @@ def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
     return [(e, c) for e, c in enumerate(slots, low) if c]
 
 
-def numerator_terms(face_counts: tuple[int, ...]) -> list[SignedTerm]:
-    """Signed expansion of prod (1 - x^(m_i)): exactly 2^k terms, unmerged.
-
-    Signs alternate with the number of factors taken from the high side, so
-    they balance: half +1, half -1.
-    """
-    terms: list[SignedTerm] = [(1, 0)]
-    for m in face_counts:
-        if not isinstance(m, int) or m < 1:
-            raise ValueError("face counts must be positive ints")
-        terms = [(s, e) for s, e in terms] + [(-s, e + m) for s, e in terms]
-    return terms
-
-
 def _merged_numerator(face_counts: tuple[int, ...]) -> dict[int, int]:
     """prod (1 - x^(m_i)) as {exponent: nonzero coefficient}.
 
     Like terms are merged after each factor, so there are never more than
     sum(m_i) + 1 of them and the expansion costs O(k * sum(m_i)) rather
-    than the 2^k of :func:`numerator_terms`.
+    than the 2^k of the unmerged expansion.
     """
     acc = {0: 1}
     for m in face_counts:

@@ -119,28 +119,16 @@ def count_poly(q: HomoQuery) -> Count:
 class CountTable:
     """Full grid of counts for faces 1..m, all n <= n_max and N <= N_max.
 
-    Rows run N = 0..N_max (row 0 is all zeros; it makes the recurrence
-    uniform), columns n = 1..n_max. Column n sums to m^n whenever
-    N_max >= m*n, and each column is symmetric about N = n*(m+1)/2.
+    ``entries[N][n - 1]`` counts throws of n dice summing to N. Rows run
+    N = 0..N_max (row 0 is all zeros; it makes the recurrence uniform),
+    columns n = 1..n_max. Column n sums to m^n whenever N_max >= m*n, and
+    each column is symmetric about N = n*(m+1)/2.
     """
 
     m: int
     n_max: int
     N_max: int
     entries: tuple[tuple[int, ...], ...]
-
-    def count(self, N: int, n: int) -> Count:
-        if not 1 <= n <= self.n_max:
-            raise ValueError("n=%d outside table columns 1..%d" % (n, self.n_max))
-        if not 0 <= N <= self.N_max:
-            raise ValueError("N=%d outside table rows 0..%d" % (N, self.N_max))
-        return self.entries[N][n - 1]
-
-    def column(self, n: int) -> tuple[Count, ...]:
-        """Counts for a fixed number of dice, N = 0..N_max."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError("n=%d outside table columns 1..%d" % (n, self.n_max))
-        return tuple(row[n - 1] for row in self.entries)
 
 
 def _add_die_columns(m: int, n_max: int, N_max: int):

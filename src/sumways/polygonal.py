@@ -12,7 +12,8 @@ here, because "a sum of k polygonal numbers" can be read two ways:
 
 * unordered, with zero an explicit part the caller chooses to include or
   not: a two-variable lattice walk counts multisets of exactly k parts.
-  ``count_partitions_with_parts``.
+  ``partition_count_grid`` returns the walk's plain grid, indexed
+  grid[N][k]; ``count_partitions_with_parts`` reads one cell of it.
 
 Positivity of one is equivalent to positivity of the other (with zero
 included as a part), and the tests hold the two routes against each other.
@@ -22,16 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import (
-    BiPoly,
-    Count,
-    IntPoly,
-    coeff,
-    coeff2,
-    intpoly,
-    inverse_product_grid,
-    poly_pow,
-)
+from .series import Count, IntPoly, coeff, intpoly, inverse_product_grid, poly_pow
 
 
 @dataclass(frozen=True)
@@ -126,11 +118,9 @@ def polygonal_parts(m: int, bound: int, include_zero: bool = True) -> PartSet:
     return PartSet(parts)
 
 
-def partition_count_grid(parts: PartSet, k_max: int, n_max: int) -> BiPoly:
-    """Window of prod over parts of 1/(1 - x^p z): cell (N, j) counts
-    multisets of exactly j parts summing to N."""
-    if k_max < 0 or n_max < 0:
-        raise ValueError("bounds must be nonnegative")
+def partition_count_grid(parts: PartSet, k_max: int, n_max: int) -> list[list[int]]:
+    """Window of prod over parts of 1/(1 - x^p z) as a plain grid: cell
+    grid[N][j] counts multisets of exactly j parts summing to N."""
     return inverse_product_grid([(p, 1) for p in parts.parts], (n_max, k_max))
 
 
@@ -144,5 +134,4 @@ def count_partitions_with_parts(parts: PartSet, k: int, N: int) -> Count:
         raise ValueError("k must be nonnegative")
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be nonnegative")
-    grid = partition_count_grid(parts, k, N)
-    return coeff2(grid, N, k)
+    return partition_count_grid(parts, k, N)[N][k]

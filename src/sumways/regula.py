@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Literal
 
-from .series import Count, coeff2, inverse_product_grid
+from .series import Count, inverse_product_grid
 
 Mode = Literal["nonnegative", "positive"]
 
@@ -64,8 +64,7 @@ def rv_count_solutions(sys: LinearSystem2) -> Count:
     if shifted is None:
         return 0
     n, v = shifted
-    grid = inverse_product_grid(sys.generators, (n, v))
-    return coeff2(grid, n, v)
+    return inverse_product_grid(sys.generators, (n, v))[n][v]
 
 
 def _solutions(gens, lo: int, rn: int, rv: int, prefix: list[int]):

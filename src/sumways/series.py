@@ -15,13 +15,18 @@ Comput. 2009): both operands are packed into single integers with one
 coefficient per fixed-width slot, multiplied once by CPython's big-int
 multiply, and unpacked. Slots are wide enough for every product
 coefficient, so the result is exact. Powers use binary powering.
+
+The two-variable lattice kernel, ``inverse_product_grid``, returns the
+plain ``list[list[int]]`` its walk built. It checks the steps and bounds it
+is given, which come from outside; the cells it fills are not checked
+again.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -102,14 +107,6 @@ def _combined_bound(a: IntPoly, b: IntPoly, requested: int | None) -> int | None
             "requested bound %d exceeds the known window %d" % (requested, window)
         )
     return requested
-
-
-def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact sum. Bounds follow the module combining rule."""
-    rb = _combined_bound(a, b, None)
-    n = max(len(a.coeffs), len(b.coeffs))
-    out = [coeff(a, i) + coeff(b, i) for i in range(n)]
-    return intpoly(out, rb)
 
 
 def _magnitude_bits(cs: Sequence[int]) -> tuple[int, bool]:
@@ -211,91 +208,32 @@ def poly_pow(base: IntPoly, k: int, bound: int | None = None) -> IntPoly:
     return result
 
 
-def divide_by_one_minus_x_pow(num: IntPoly, k: int, bound: int) -> IntPoly:
-    """Quotient num / (1 - x)^k as a series truncated at ``bound``.
-
-    Division by each (1 - x) factor is one running prefix sum, so the whole
-    thing is k passes over the window. ``num`` must be known at least out to
-    ``bound``.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive int")
-    if not isinstance(bound, int) or bound < 0:
-        raise ValueError("bound must be a nonnegative int")
-    if num.bound is not None and num.bound < bound:
-        raise ValueError(
-            "numerator window %d is narrower than bound %d" % (num.bound, bound)
-        )
-    out = [coeff(num, e) for e in range(bound + 1)]
-    for _ in range(k):
-        running = 0
-        for e in range(bound + 1):
-            running += out[e]
-            out[e] = running
-    return intpoly(out, bound)
-
-
-@dataclass(frozen=True)
-class BiPoly:
-    """Dense two-variable series window: grid[i][j] holds u^i v^j.
-
-    The grid is a full rectangle; its dimensions are exactly bounds+1 in
-    each variable.
-    """
-
-    grid: tuple[tuple[int, ...], ...]
-    bounds: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        bu, bv = self.bounds
-        if bu < 0 or bv < 0:
-            raise ValueError("bounds must be nonnegative")
-        if len(self.grid) != bu + 1:
-            raise ValueError("grid has %d rows, expected %d" % (len(self.grid), bu + 1))
-        # passes at C speed, as in IntPoly; the loop runs only when they see
-        # a row of another length or a cell that is not exactly an int
-        if set(map(len, self.grid)) == {bv + 1} and set(
-            map(type, chain.from_iterable(self.grid))
-        ) <= {int}:
-            return
-        for row in self.grid:
-            if len(row) != bv + 1:
-                raise ValueError("ragged grid row")
-            for c in row:
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise ValueError("coefficients must be ints")
-
-
-def coeff2(p: BiPoly, i: int, j: int) -> int:
-    """Grid coefficient at (i, j); 0 outside the window."""
-    if i < 0 or j < 0 or i > p.bounds[0] or j > p.bounds[1]:
-        return 0
-    return p.grid[i][j]
-
-
 def inverse_product_grid(
     steps: Sequence[tuple[int, int]], bounds: tuple[int, int]
-) -> BiPoly:
+) -> list[list[int]]:
     """Expand prod over steps of 1 / (1 - u^a v^b), truncated to ``bounds``.
 
-    Each factor is absorbed by one in-place lattice pass: cell (i, j) gains
-    cell (i-a, j-b), visiting cells in ascending order so a factor may be
-    used any number of times. Steps must be nonnegative and never (0, 0)
-    (that factor would not be a power series).
+    Returns the plain grid the walk built: bounds[0]+1 rows of bounds[1]+1
+    ints, grid[i][j] the coefficient of u^i v^j. Each factor is absorbed by
+    one in-place lattice pass: cell (i, j) gains cell (i-a, j-b), visiting
+    cells in ascending order so a factor may be used any number of times.
+    Steps must be nonnegative and never (0, 0) (that factor would not be a
+    power series); every step is checked before the grid is allocated.
     """
     bu, bv = bounds
     if bu < 0 or bv < 0:
         raise ValueError("bounds must be nonnegative")
-    grid = [[0] * (bv + 1) for _ in range(bu + 1)]
-    grid[0][0] = 1
     for a, b in steps:
         if a < 0 or b < 0:
             raise ValueError("steps must be nonnegative")
         if a == 0 and b == 0:
             raise ValueError("step (0, 0) is not allowed")
+    grid = [[0] * (bv + 1) for _ in range(bu + 1)]
+    grid[0][0] = 1
+    for a, b in steps:
         for i in range(a, bu + 1):
             row = grid[i]
             src = grid[i - a]
             for j in range(b, bv + 1):
                 row[j] += src[j - b]
-    return BiPoly(tuple(tuple(row) for row in grid), bounds)
+    return grid

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from sumways.heterogeneous import (
     DicePool,
     MarkedDie,
+    _merged_numerator,
     consecutive_pool,
     hetero_count_closed_form,
     hetero_count_product,
     hetero_distribution,
-    numerator_terms,
 )
 from sumways.homogeneous import HomoQuery, count_poly
 from sumways.oracle import brute_dice
@@ -59,20 +59,17 @@ def test_distribution_small():
 
 
 def test_numerator_terms_structure():
-    terms = numerator_terms((6, 8, 12))
+    terms = _merged_numerator((6, 8, 12))
     assert len(terms) == 8
-    assert sum(s for s, _ in terms) == 0
+    assert sum(terms.values()) == 0
     # multiplying out explicitly must give the same signed polynomial
     explicit = intpoly([1])
     for m in (6, 8, 12):
         factor = intpoly([1] + [0] * (m - 1) + [-1])
         explicit = poly_mul(explicit, factor)
-    merged = {}
-    for s, e in terms:
-        merged[e] = merged.get(e, 0) + s
     for e in range(explicit.degree + 1):
-        assert merged.get(e, 0) == coeff(explicit, e)
-    assert sorted(e for e, c in merged.items() if c) == [0, 6, 8, 12, 14, 18, 20, 26]
+        assert terms.get(e, 0) == coeff(explicit, e)
+    assert sorted(terms) == [0, 6, 8, 12, 14, 18, 20, 26]
 
 
 def test_closed_form_known_values():

@@ -57,11 +57,11 @@ def test_count_poly_known_values():
 
 def test_add_die_table_values():
     table = count_table_add_die(6, 8, 36)
-    assert table.count(18, 5) == 780
-    assert table.count(36, 8) == 36688
-    assert table.count(26, 8) == 125588
-    assert table.count(6, 1) == 1
-    assert table.count(7, 1) == 0
+    assert table.entries[18][5 - 1] == 780
+    assert table.entries[36][8 - 1] == 36688
+    assert table.entries[26][8 - 1] == 125588
+    assert table.entries[6][1 - 1] == 1
+    assert table.entries[7][1 - 1] == 0
     assert count_add_die(HomoQuery(5, 6, 18)) == 780
 
 
@@ -69,20 +69,7 @@ def test_table_one_face():
     table = count_table_add_die(1, 3, 3)
     for N in range(1, 4):
         for n in range(1, 4):
-            assert table.count(N, n) == (1 if N == n else 0)
-
-
-def test_table_accessor_bounds():
-    table = count_table_add_die(6, 2, 12)
-    with pytest.raises(ValueError):
-        table.count(3, 0)
-    with pytest.raises(ValueError):
-        table.count(3, 3)
-    with pytest.raises(ValueError):
-        table.count(13, 1)
-    with pytest.raises(ValueError):
-        table.count(-1, 1)
-    assert len(table.column(2)) == 13
+            assert table.entries[N][n - 1] == (1 if N == n else 0)
 
 
 def test_table_validation():
@@ -92,6 +79,8 @@ def test_table_validation():
         count_table_add_die(6, 0, 5)
     with pytest.raises(ValueError):
         count_table_add_die(6, 2, 0)
+    # rows N = 0..N_max
+    assert len(count_table_add_die(6, 2, 12).entries) == 13
 
 
 def test_lambda_known_values():
@@ -181,7 +170,7 @@ def test_column_sums():
     for m in (2, 3, 6):
         table = count_table_add_die(m, 6, m * 6)
         for n in range(1, 7):
-            assert sum(table.column(n)) == m**n
+            assert sum(row[n - 1] for row in table.entries) == m**n
 
 
 def test_prefix_regime_is_compositions():
@@ -289,7 +278,7 @@ def test_add_die_matches_closed_form_and_lambda(q):
 def test_table_columns_sum_to_m_pow_n_and_are_symmetric(m, n_max, extra):
     table = count_table_add_die(m, n_max, m * n_max + extra)
     for n in range(1, n_max + 1):
-        col = table.column(n)
+        col = [row[n - 1] for row in table.entries]
         support = col[n : m * n + 1]
         assert sum(col) == sum(support) == m**n, (m, n)
         assert support == support[::-1], (m, n)
@@ -307,7 +296,7 @@ def test_truncated_table_cells_match_closed_form(m, n_max, N_max):
     assert all(len(row) == n_max for row in table.entries)
     for N in range(N_max + 1):
         for n in range(1, n_max + 1):
-            assert table.count(N, n) == count_closed_form(HomoQuery(n, m, N)), (N, n)
+            assert table.entries[N][n - 1] == count_closed_form(HomoQuery(n, m, N)), (N, n)
 
 
 # Property tests of the per-shape memo of the two expanding engines. Each

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumways.oracle import brute_partitions
 from sumways.polygonal import (
@@ -12,7 +14,7 @@ from sumways.polygonal import (
     polygonal_parts,
     polygonal_series,
 )
-from sumways.series import coeff, coeff2, intpoly
+from sumways.series import coeff, intpoly
 
 
 def test_polygonal_number_sequences():
@@ -130,10 +132,9 @@ def test_partition_counts_match_oracle():
 
 def test_partition_grid_shape():
     grid = partition_count_grid(polygonal_parts(3, 8), 3, 8)
-    assert grid.bounds == (8, 3)
-    assert len(grid.grid) == 9
-    assert len(grid.grid[0]) == 4
-    assert coeff2(grid, 0, 0) == 1
+    assert len(grid) == 9
+    assert all(len(row) == 4 for row in grid)
+    assert grid[0][0] == 1
 
 
 def test_positivity_readings_agree():
@@ -148,3 +149,17 @@ def test_positivity_readings_agree():
                 ordered_pos = coeff(power, N) > 0
                 unordered_pos = count_partitions_with_parts(parts, k, N) > 0
                 assert ordered_pos == unordered_pos, (m, k, N)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(1, 15), min_size=1, max_size=5), st.booleans(),
+       st.integers(0, 4), st.integers(0, 12))
+@example({1}, True, 4, 0)
+@example({13, 14}, False, 2, 12)
+@example({2, 3}, True, 0, 5)
+def test_partition_grid_matches_brute_force(nonzero, with_zero, k, N):
+    parts = PartSet(tuple(sorted(nonzero | {0} if with_zero else nonzero)))
+    expect = [[brute_partitions(parts, j, n, ordered=False) for j in range(k + 1)]
+              for n in range(N + 1)]
+    assert partition_count_grid(parts, k, N) == expect
+    assert count_partitions_with_parts(parts, k, N) == expect[N][k]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -10,18 +11,9 @@ from sumways.heterogeneous import (
     hetero_count_product,
     hetero_distribution,
 )
-from sumways.series import (
-    BiPoly,
-    IntPoly,
-    coeff,
-    coeff2,
-    divide_by_one_minus_x_pow,
-    intpoly,
-    inverse_product_grid,
-    poly_add,
-    poly_mul,
-    poly_pow,
-)
+from sumways.oracle import brute_regula
+from sumways.regula import LinearSystem2, rv_count_solutions
+from sumways.series import IntPoly, coeff, intpoly, inverse_product_grid, poly_mul, poly_pow
 
 DIE6 = intpoly([0, 1, 1, 1, 1, 1, 1])
 
@@ -57,7 +49,6 @@ def test_intpoly_canonical():
     assert intpoly([1, 0, 0, 4], bound=2).coeffs == (1,)
     # an int subclass other than bool is an int
     assert IntPoly((Small(3),)).coeffs == (3,)
-    assert coeff2(BiPoly(((1,), (Small(2),)), (1, 0)), 1, 0) == 2
 
 
 def test_intpoly_rejects_noncanonical():
@@ -85,10 +76,6 @@ def test_coeff_conventions():
     assert intpoly([]).degree == -1
 
 
-def test_add_example():
-    assert poly_add(intpoly([1, 1]), intpoly([1, 0, 1])) == intpoly([2, 1, 1])
-
-
 def test_mul_die_squared():
     sq = poly_mul(DIE6, DIE6)
     assert coeff(sq, 7) == 6
@@ -112,33 +99,12 @@ def test_mul_by_zero_and_one():
     assert poly_mul(p, one) == p
 
 
-def test_divide_examples():
-    num = intpoly([1, 0, 0, 0, 0, 0, -1])
-    assert divide_by_one_minus_x_pow(num, 1, 10) == intpoly([1] * 6, bound=10)
-    # 1/(1-x)^3 opens with the triangular numbers
-    tri = divide_by_one_minus_x_pow(intpoly([1]), 3, 7)
-    assert tri.coeffs == (1, 3, 6, 10, 15, 21, 28, 36)
-
-
-def test_divide_round_trip():
-    rng = random.Random(11)
-    for _ in range(40):
-        num = rand_poly(rng, max_deg=6)
-        k = rng.randint(1, 5)
-        b = rng.randint(0, 12)
-        q = divide_by_one_minus_x_pow(num, k, b)
-        back = poly_mul(q, poly_pow(intpoly([1, -1]), k), bound=b)
-        assert back == intpoly(num.coeffs, b), (num, k, b)
-
-
 def test_ring_identities():
     rng = random.Random(7)
     for _ in range(60):
         a, b, c = (rand_poly(rng) for _ in range(3))
-        assert poly_add(a, b) == poly_add(b, a)
         assert poly_mul(a, b) == poly_mul(b, a)
         assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
-        assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
 
 
 def test_pow_is_iterated_mul():
@@ -167,8 +133,6 @@ def test_bound_is_part_of_the_value():
     a = intpoly([1, 1], bound=5)
     b = intpoly([1, 1], bound=7)
     with pytest.raises(ValueError):
-        poly_add(a, b)
-    with pytest.raises(ValueError):
         poly_mul(a, b)
     # explicit narrowing is allowed
     assert poly_mul(a, b, bound=5).bound == 5
@@ -176,44 +140,31 @@ def test_bound_is_part_of_the_value():
     with pytest.raises(ValueError):
         poly_mul(a, a, bound=6)
     # exact values join bounded ones at the bounded window
-    assert poly_add(intpoly([1] * 9), a).bound == 5
     assert poly_mul(intpoly([1, 1]), a).bound == 5
 
 
-def test_divide_window_checks():
-    with pytest.raises(ValueError):
-        divide_by_one_minus_x_pow(intpoly([1], bound=3), 1, 5)
-    with pytest.raises(ValueError):
-        divide_by_one_minus_x_pow(intpoly([1]), 0, 5)
-
-
-def test_bipoly_shape():
-    with pytest.raises(ValueError):
-        BiPoly(((0, 0),), (1, 1))
-    with pytest.raises(ValueError):
-        BiPoly(((0, 0), (0,)), (1, 1))
-    for cell in (True, 1.0, "1"):
-        with pytest.raises(ValueError):
-            BiPoly(((1, 0), (cell, 2)), (1, 1))
-    g = BiPoly(((1, 0), (0, 2)), (1, 1))
-    assert coeff2(g, 1, 1) == 2
-    assert coeff2(g, 2, 0) == 0
-    assert coeff2(g, -1, 0) == 0
+def test_inverse_product_grid_shape():
+    # a plain list of bounds[0]+1 rows of bounds[1]+1 ints
+    for bounds in ((0, 0), (1, 1), (3, 0), (0, 2), (2, 5)):
+        g = inverse_product_grid([(1, 2), (0, 1)], bounds)
+        assert type(g) is list and len(g) == bounds[0] + 1
+        for row in g:
+            assert type(row) is list and len(row) == bounds[1] + 1
+            assert {type(c) for c in row} == {int}
+        assert g[0][0] == 1
 
 
 def test_inverse_product_grid_geometric():
     # 1/(1 - u v) has 1 exactly on the diagonal
     g = inverse_product_grid([(1, 1)], (4, 4))
-    for i in range(5):
-        for j in range(5):
-            assert coeff2(g, i, j) == (1 if i == j else 0)
+    assert g == [[1 if i == j else 0 for j in range(5)] for i in range(5)]
 
 
 def test_inverse_product_grid_counts_pairs():
     # 1/((1-u)(1-u^2)): coefficient of u^4 counts {1,2}-multisets: 4 = 1+1+1+1,
     # 1+1+2, 2+2
     g = inverse_product_grid([(1, 0), (2, 0)], (4, 0))
-    assert coeff2(g, 4, 0) == 3
+    assert g[4][0] == 3
 
 
 def test_inverse_product_grid_rejects_bad_steps():
@@ -221,6 +172,45 @@ def test_inverse_product_grid_rejects_bad_steps():
         inverse_product_grid([(0, 0)], (2, 2))
     with pytest.raises(ValueError):
         inverse_product_grid([(-1, 1)], (2, 2))
+    with pytest.raises(ValueError):
+        inverse_product_grid([(1, 1)], (-1, 2))
+    with pytest.raises(ValueError):
+        inverse_product_grid([(1, 1)], (2, -1))
+
+
+def test_inverse_product_grid_checks_steps_before_the_walk():
+    # a bad step late in the list is refused before any grid is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            inverse_product_grid([(1, 1), (2, 3), (0, 0)], (300, 300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+# -- the lattice walk against the two-equation oracle, cell by cell ----------
+
+# Steps with a = 0 or b = 0, and steps past the window, which add nothing.
+lattice_steps = st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda s: s != (0, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(lattice_steps, min_size=1, max_size=4), st.integers(0, 6), st.integers(0, 6))
+@example([(0, 1), (3, 0), (9, 9)], 4, 5)
+@example([(1, 0), (1, 0)], 5, 0)
+@example([(7, 7)], 3, 3)
+@example([(2, 1), (0, 3), (1, 0), (1, 1)], 6, 6)
+def test_every_grid_cell_matches_brute_force(steps, bu, bv):
+    grid = inverse_product_grid(steps, (bu, bv))
+    assert grid == [
+        [brute_regula(LinearSystem2(tuple(steps), (i, j))) for j in range(bv + 1)]
+        for i in range(bu + 1)
+    ]
+    # positive mode reads a cell of the grid for the shifted targets
+    pos = LinearSystem2(tuple(steps), (bu, bv), "positive")
+    assert rv_count_solutions(pos) == brute_regula(pos)
 
 
 # -- the Kronecker kernel against the schoolbook reference --------------------
