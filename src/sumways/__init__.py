@@ -23,7 +23,6 @@ from .heterogeneous import (
     hetero_distribution,
 )
 from .homogeneous import (
-    CountTable,
     DivisibilityError,
     HomoQuery,
     binomial,
@@ -43,7 +42,6 @@ from .oracle import (
 )
 from .polygonal import (
     PartSet,
-    PolygonalSpec,
     check_all_positive,
     count_partitions_with_parts,
     ordered_representation_counts,
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CountTable",
     "DEFAULT_BUDGET",
     "DicePool",
     "DivisibilityError",
@@ -69,7 +66,6 @@ __all__ = [
     "LinearSystem2",
     "MarkedDie",
     "PartSet",
-    "PolygonalSpec",
     "binomial",
     "brute_dice",
     "brute_partitions",

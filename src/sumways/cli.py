@@ -33,14 +33,13 @@ from .heterogeneous import (
 from .homogeneous import ENGINE_ORDER, ENGINES, HomoQuery, count_table_add_die
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, brute_dice
 from .polygonal import (
-    PolygonalSpec,
     check_all_positive,
+    ordered_representation_counts,
     partition_count_grid,
     polygonal_parts,
-    polygonal_series,
 )
 from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
-from .series import intpoly, poly_pow
+from .series import intpoly
 
 
 class CliError(Exception):
@@ -132,13 +131,13 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     table = count_table_add_die(args.faces, args.max_dice, args.max_sum)
-    rows = enumerate(table.entries[1:], 1)
+    rows = enumerate(table[1:], 1)
     if args.format == "json":
         cells = '",\n        "'.join
         lines = [_TABLE_ROW_JSON % (N, cells(map(str, row))) for N, row in rows]
-        print(_TABLE_JSON % (table.m, table.n_max, table.N_max, ",\n".join(lines)))
+        print(_TABLE_JSON % (args.faces, args.max_dice, args.max_sum, ",\n".join(lines)))
     else:
-        head = "N," + ",".join("n=%d" % n for n in range(1, table.n_max + 1))
+        head = "N," + ",".join("n=%d" % n for n in range(1, args.max_dice + 1))
         lines = ["%d,%s" % (N, ",".join(map(str, row))) for N, row in rows]
         print("\n".join([head, *lines]))
     return 0
@@ -175,15 +174,14 @@ def cmd_hetero(args) -> int:
 
 
 def cmd_polygonal_check(args) -> int:
-    spec = PolygonalSpec(args.sides, args.upto)
     if args.power < 1:
         raise CliError("--power must be positive")
     if args.unordered:
-        parts = polygonal_parts(args.sides, args.upto, include_zero=True)
+        parts = polygonal_parts(args.sides, args.upto)
         grid = partition_count_grid(parts, args.power, args.upto)
         power = intpoly([row[args.power] for row in grid], args.upto)
     else:
-        power = poly_pow(polygonal_series(spec), args.power, args.upto)
+        power = ordered_representation_counts(args.sides, args.power, args.upto)
     gap = check_all_positive(power, args.upto)
     if gap is None:
         print("all exponents 0..%d representable" % args.upto)

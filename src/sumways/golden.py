@@ -86,9 +86,9 @@ def _verify_table1() -> VerifyReport:
     errata = {
         (e["N"], e["n"]): int(e["erratum"]["corrected"]) for e in data.get("errata", [])
     }
-    entries = count_table_add_die(data["m"], data["n_max"], data["N_max"]).entries
+    table = count_table_add_die(data["m"], data["n_max"], data["N_max"])
     cells = (
-        ("(N=%d,n=%d)" % (row["N"], n), int(printed), entries[row["N"]][n - 1],
+        ("(N=%d,n=%d)" % (row["N"], n), int(printed), table[row["N"]][n - 1],
          errata.get((row["N"], n)))
         for row in data["rows"]
         for n, printed in enumerate(row["counts"], start=1)

@@ -115,22 +115,6 @@ def count_poly(q: HomoQuery) -> Count:
     return coeff(_die_power(q.n, q.m, _window(q)), q.N)
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Full grid of counts for faces 1..m, all n <= n_max and N <= N_max.
-
-    ``entries[N][n - 1]`` counts throws of n dice summing to N. Rows run
-    N = 0..N_max (row 0 is all zeros; it makes the recurrence uniform),
-    columns n = 1..n_max. Column n sums to m^n whenever N_max >= m*n, and
-    each column is symmetric about N = n*(m+1)/2.
-    """
-
-    m: int
-    n_max: int
-    N_max: int
-    entries: tuple[tuple[int, ...], ...]
-
-
 def _add_die_columns(m: int, n_max: int, N_max: int):
     """Yield the columns n = 1..n_max of counts over N = 0..N_max.
 
@@ -145,7 +129,7 @@ def _add_die_columns(m: int, n_max: int, N_max: int):
         yield col
 
 
-def count_table_add_die(m: int, n_max: int, N_max: int) -> CountTable:
+def count_table_add_die(m: int, n_max: int, N_max: int) -> tuple[tuple[int, ...], ...]:
     """Tabulate counts by adding one die at a time.
 
     Throwing one more die and reading the face that completes the sum gives
@@ -153,6 +137,12 @@ def count_table_add_die(m: int, n_max: int, N_max: int) -> CountTable:
     out-of-range references counting as 0. Each column is computed whole
     from the previous one as a running sum, starting from zero dice; the
     rows of the table are the columns transposed.
+
+    Returns the rows: ``rows[N][n - 1]`` counts throws of n dice summing
+    to N. Rows run N = 0..N_max (row 0 is all zeros; it makes the
+    recurrence uniform), columns n = 1..n_max. Column n sums to m^n
+    whenever N_max >= m*n, and each column is symmetric about
+    N = n*(m+1)/2.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("need at least one face")
@@ -160,7 +150,7 @@ def count_table_add_die(m: int, n_max: int, N_max: int) -> CountTable:
         raise ValueError("need at least one column")
     if not isinstance(N_max, int) or N_max < 1:
         raise ValueError("need at least one row")
-    return CountTable(m, n_max, N_max, tuple(zip(*_add_die_columns(m, n_max, N_max))))
+    return tuple(zip(*_add_die_columns(m, n_max, N_max)))
 
 
 class LambdaStep(NamedTuple):

@@ -52,6 +52,23 @@ def brute_partitions(
     return sum(1 for t in combinations_with_replacement(vals, k) if sum(t) == N)
 
 
+def _regula_loops(gens, lo: int, i: int, rn: int, rv: int) -> int:
+    """Nested loops from generator i on: each x runs from lo to the most
+    the remaining targets rn and rv allow; count the leaves at zero."""
+    if i == len(gens):
+        return 1 if rn == 0 and rv == 0 else 0
+    a, b = gens[i]
+    hi = []
+    if a:
+        hi.append(rn // a)
+    if b:
+        hi.append(rv // b)
+    total = 0
+    for x in range(lo, min(hi) + 1):
+        total += _regula_loops(gens, lo, i + 1, rn - a * x, rv - b * x)
+    return total
+
+
 def brute_regula(sys: LinearSystem2, budget: int = DEFAULT_BUDGET) -> Count:
     """Count solutions by nested bounded loops over the variables."""
     n, v = sys.targets
@@ -65,21 +82,4 @@ def brute_regula(sys: LinearSystem2, budget: int = DEFAULT_BUDGET) -> Count:
             bounds.append(v // b)
         space *= min(bounds) + 1
     _check_budget(space, budget, "two-equation")
-
-    gens = sys.generators
-
-    def rec(i: int, rn: int, rv: int) -> int:
-        if i == len(gens):
-            return 1 if rn == 0 and rv == 0 else 0
-        a, b = gens[i]
-        hi = []
-        if a:
-            hi.append(rn // a)
-        if b:
-            hi.append(rv // b)
-        total = 0
-        for x in range(lo, min(hi) + 1):
-            total += rec(i + 1, rn - a * x, rv - b * x)
-        return total
-
-    return rec(0, n, v)
+    return _regula_loops(sys.generators, lo, 0, n, v)

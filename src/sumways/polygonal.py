@@ -2,16 +2,21 @@
 
 The j-th m-gonal number is ((m-2)*j*j - (m-4)*j) / 2, always an integer:
 0, 1, m, 3m-3, 6m-8, ... Triangles are m=3, squares m=4, and so on.
+Every builder here takes the plain ints m and bound (inclusive) and lists
+the numbers up to bound from ``polygonal_number``, the one home of the
+formula.
 
 Representation counting comes in two flavors that are deliberately both
 here, because "a sum of k polygonal numbers" can be read two ways:
 
-* ordered, zeros allowed: raise the series sum of x^(p_j) (which starts
-  1 + x + ...) to the k-th power; the coefficient at N counts ordered
-  k-tuples. ``ordered_representation_counts`` / ``check_all_positive``.
+* ordered, zeros allowed: raise ``polygonal_series(m, bound)``, the
+  series sum of x^(p_j) (which starts 1 + x + ...), to the k-th power;
+  the coefficient at N counts ordered k-tuples.
+  ``ordered_representation_counts`` / ``check_all_positive``.
 
-* unordered, with zero an explicit part the caller chooses to include or
-  not: a two-variable lattice walk counts multisets of exactly k parts.
+* unordered, over a ``PartSet``: ``polygonal_parts(m, bound)`` holds the
+  numbers themselves, 0 included; a caller who wants no zero part drops
+  it. A two-variable lattice walk counts multisets of exactly k parts.
   ``partition_count_grid`` returns the walk's plain grid, indexed
   grid[N][k]; ``count_partitions_with_parts`` reads one cell of it.
 
@@ -22,22 +27,9 @@ included as a part), and the tests hold the two routes against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, takewhile
 
 from .series import Count, IntPoly, coeff, intpoly, inverse_product_grid, poly_pow
-
-
-@dataclass(frozen=True)
-class PolygonalSpec:
-    """Which polygon, and how far (inclusive) the series window runs."""
-
-    m: int
-    bound: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 3:
-            raise ValueError("polygonal numbers need m >= 3 sides")
-        if not isinstance(self.bound, int) or self.bound < 0:
-            raise ValueError("bound must be nonnegative")
 
 
 def polygonal_number(m: int, j: int) -> int:
@@ -49,20 +41,26 @@ def polygonal_number(m: int, j: int) -> int:
     return ((m - 2) * j * j - (m - 4) * j) // 2
 
 
-def polygonal_series(spec: PolygonalSpec) -> IntPoly:
+def _polygonal_numbers(m: int, bound: int) -> tuple[int, ...]:
+    """The m-gonal numbers 0, 1, m, ... up to bound, strictly increasing."""
+    if not isinstance(m, int) or m < 3:
+        raise ValueError("polygonal numbers need m >= 3 sides")
+    if not isinstance(bound, int) or bound < 0:
+        raise ValueError("bound must be nonnegative")
+    numbers = (polygonal_number(m, j) for j in count())
+    return tuple(takewhile(lambda p: p <= bound, numbers))
+
+
+def polygonal_series(m: int, bound: int) -> IntPoly:
     """Truncated series with coefficient 1 at every m-gonal number.
 
     Starts 1 + x + x^m + ...; the result carries the truncation bound.
     """
-    cs = [0] * (spec.bound + 1)
-    j = 0
-    while True:
-        p = polygonal_number(spec.m, j)
-        if p > spec.bound:
-            break
+    parts = _polygonal_numbers(m, bound)
+    cs = [0] * (bound + 1)
+    for p in parts:
         cs[p] = 1
-        j += 1
-    return intpoly(cs, spec.bound)
+    return intpoly(cs, bound)
 
 
 def ordered_representation_counts(m: int, k: int, bound: int) -> IntPoly:
@@ -73,7 +71,7 @@ def ordered_representation_counts(m: int, k: int, bound: int) -> IntPoly:
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive int")
-    return poly_pow(polygonal_series(PolygonalSpec(m, bound)), k, bound)
+    return poly_pow(polygonal_series(m, bound), k, bound)
 
 
 def check_all_positive(p: IntPoly, upto: int) -> int | None:
@@ -109,13 +107,9 @@ class PartSet:
             prev = p
 
 
-def polygonal_parts(m: int, bound: int, include_zero: bool = True) -> PartSet:
-    """All m-gonal numbers up to bound as a PartSet."""
-    series = polygonal_series(PolygonalSpec(m, bound))
-    parts = tuple(e for e, c in enumerate(series.coeffs) if c)
-    if not include_zero:
-        parts = tuple(p for p in parts if p)
-    return PartSet(parts)
+def polygonal_parts(m: int, bound: int) -> PartSet:
+    """All m-gonal numbers up to bound, 0 included, as a PartSet."""
+    return PartSet(_polygonal_numbers(m, bound))
 
 
 def partition_count_grid(parts: PartSet, k_max: int, n_max: int) -> list[list[int]]:

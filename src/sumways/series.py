@@ -61,11 +61,6 @@ class IntPoly:
             if len(self.coeffs) > self.bound + 1:
                 raise ValueError("coefficients extend past the bound")
 
-    @property
-    def degree(self) -> int:
-        """Degree of the retained part; -1 for the zero value."""
-        return len(self.coeffs) - 1
-
 
 def intpoly(coeffs: Iterable[int], bound: int | None = None) -> IntPoly:
     """Normalize a coefficient sequence into an IntPoly.

@@ -117,7 +117,7 @@ def test_criterion_5_structural_invariants():
     for m in range(2, 9):
         table = count_table_add_die(m, 8, 8 * m)
         for n in range(1, 9):
-            col = [row[n - 1] for row in table.entries]
+            col = [row[n - 1] for row in table]
             # support with value 1 at both ends
             assert col[n] == 1
             assert col[m * n] == 1
@@ -198,7 +198,7 @@ def test_criterion_8_two_equation_randomized():
 def test_criterion_9_three_triangles_equivalence():
     bound = 500
     power = ordered_representation_counts(3, 3, bound)
-    parts = polygonal_parts(3, bound, include_zero=True)
+    parts = polygonal_parts(3, bound)
     grid = partition_count_grid(parts, 3, bound)
     for N in range(bound + 1):
         ordered_pos = coeff(power, N) > 0

@@ -1,4 +1,5 @@
-"""No cyclic garbage from the counting engines, the enumeration or the CLI.
+"""No cyclic garbage from the counting engines, the enumeration, the
+two-equation oracle or the CLI.
 
 A call that leaves reference cycles behind makes memory grow between
 collections in a long-running process. With the collector off, every
@@ -12,6 +13,7 @@ import io
 
 from sumways import cli, homogeneous
 from sumways.homogeneous import ENGINES, HomoQuery
+from sumways.oracle import brute_regula
 from sumways.regula import LinearSystem2, rv_enumerate_solutions
 
 CLI_CALLS = [
@@ -49,6 +51,7 @@ def test_engines_and_enumeration_leave_no_cyclic_garbage():
                     engine(q)
             for system, cap in systems:
                 rv_enumerate_solutions(system, cap)
+                brute_regula(system)
         assert gc.collect() == 0
     finally:
         gc.enable()

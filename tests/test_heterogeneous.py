@@ -67,7 +67,7 @@ def test_numerator_terms_structure():
     for m in (6, 8, 12):
         factor = intpoly([1] + [0] * (m - 1) + [-1])
         explicit = poly_mul(explicit, factor)
-    for e in range(explicit.degree + 1):
+    for e in range(len(explicit.coeffs)):
         assert terms.get(e, 0) == coeff(explicit, e)
     assert sorted(terms) == [0, 6, 8, 12, 14, 18, 20, 26]
 

@@ -57,11 +57,11 @@ def test_count_poly_known_values():
 
 def test_add_die_table_values():
     table = count_table_add_die(6, 8, 36)
-    assert table.entries[18][5 - 1] == 780
-    assert table.entries[36][8 - 1] == 36688
-    assert table.entries[26][8 - 1] == 125588
-    assert table.entries[6][1 - 1] == 1
-    assert table.entries[7][1 - 1] == 0
+    assert table[18][5 - 1] == 780
+    assert table[36][8 - 1] == 36688
+    assert table[26][8 - 1] == 125588
+    assert table[6][1 - 1] == 1
+    assert table[7][1 - 1] == 0
     assert count_add_die(HomoQuery(5, 6, 18)) == 780
 
 
@@ -69,7 +69,7 @@ def test_table_one_face():
     table = count_table_add_die(1, 3, 3)
     for N in range(1, 4):
         for n in range(1, 4):
-            assert table.entries[N][n - 1] == (1 if N == n else 0)
+            assert table[N][n - 1] == (1 if N == n else 0)
 
 
 def test_table_validation():
@@ -80,7 +80,7 @@ def test_table_validation():
     with pytest.raises(ValueError):
         count_table_add_die(6, 2, 0)
     # rows N = 0..N_max
-    assert len(count_table_add_die(6, 2, 12).entries) == 13
+    assert len(count_table_add_die(6, 2, 12)) == 13
 
 
 def test_lambda_known_values():
@@ -170,7 +170,7 @@ def test_column_sums():
     for m in (2, 3, 6):
         table = count_table_add_die(m, 6, m * 6)
         for n in range(1, 7):
-            assert sum(row[n - 1] for row in table.entries) == m**n
+            assert sum(row[n - 1] for row in table) == m**n
 
 
 def test_prefix_regime_is_compositions():
@@ -278,7 +278,7 @@ def test_add_die_matches_closed_form_and_lambda(q):
 def test_table_columns_sum_to_m_pow_n_and_are_symmetric(m, n_max, extra):
     table = count_table_add_die(m, n_max, m * n_max + extra)
     for n in range(1, n_max + 1):
-        col = [row[n - 1] for row in table.entries]
+        col = [row[n - 1] for row in table]
         support = col[n : m * n + 1]
         assert sum(col) == sum(support) == m**n, (m, n)
         assert support == support[::-1], (m, n)
@@ -292,11 +292,11 @@ def test_table_columns_sum_to_m_pow_n_and_are_symmetric(m, n_max, extra):
 @example(1, 4, 2)
 def test_truncated_table_cells_match_closed_form(m, n_max, N_max):
     table = count_table_add_die(m, n_max, N_max)
-    assert len(table.entries) == N_max + 1
-    assert all(len(row) == n_max for row in table.entries)
+    assert len(table) == N_max + 1
+    assert all(len(row) == n_max for row in table)
     for N in range(N_max + 1):
         for n in range(1, n_max + 1):
-            assert table.entries[N][n - 1] == count_closed_form(HomoQuery(n, m, N)), (N, n)
+            assert table[N][n - 1] == count_closed_form(HomoQuery(n, m, N)), (N, n)
 
 
 # Property tests of the per-shape memo of the two expanding engines. Each

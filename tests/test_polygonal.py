@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from sumways.oracle import brute_partitions
 from sumways.polygonal import (
     PartSet,
-    PolygonalSpec,
     check_all_positive,
     count_partitions_with_parts,
     ordered_representation_counts,
@@ -34,18 +33,18 @@ def test_polygonal_number_validation():
     with pytest.raises(ValueError):
         polygonal_number(3, -1)
     with pytest.raises(ValueError):
-        PolygonalSpec(2, 10)
+        polygonal_series(2, 10)
     with pytest.raises(ValueError):
-        PolygonalSpec(3, -1)
+        polygonal_series(3, -1)
 
 
 def test_series_windows():
-    s = polygonal_series(PolygonalSpec(3, 10))
+    s = polygonal_series(3, 10)
     assert [e for e, c in enumerate(s.coeffs) if c] == [0, 1, 3, 6, 10]
     assert s.bound == 10
-    s = polygonal_series(PolygonalSpec(4, 9))
+    s = polygonal_series(4, 9)
     assert [e for e, c in enumerate(s.coeffs) if c] == [0, 1, 4, 9]
-    s = polygonal_series(PolygonalSpec(7, 0))
+    s = polygonal_series(7, 0)
     assert s.coeffs == (1,)
 
 
@@ -103,7 +102,7 @@ def test_partset_validation():
     with pytest.raises(ValueError):
         PartSet((-1, 2))
     assert polygonal_parts(3, 10).parts == (0, 1, 3, 6, 10)
-    assert polygonal_parts(3, 10, include_zero=False).parts == (1, 3, 6, 10)
+    assert PartSet(polygonal_parts(3, 10).parts[1:]).parts == (1, 3, 6, 10)
 
 
 def test_partition_counts_small():
@@ -116,7 +115,7 @@ def test_partition_counts_small():
     assert count_partitions_with_parts(PartSet((2,)), 3, 5) == 0
     # zero padding creates distinct multisets
     with_zero = count_partitions_with_parts(polygonal_parts(3, 6), 3, 6)
-    without = count_partitions_with_parts(polygonal_parts(3, 6, False), 3, 6)
+    without = count_partitions_with_parts(PartSet(polygonal_parts(3, 6).parts[1:]), 3, 6)
     assert with_zero > without
 
 

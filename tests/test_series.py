@@ -72,8 +72,6 @@ def test_coeff_conventions():
     assert coeff(p, 2) == 7
     assert coeff(p, 3) == 0
     assert coeff(p, -1) == 0
-    assert p.degree == 2
-    assert intpoly([]).degree == -1
 
 
 def test_mul_die_squared():
