@@ -12,8 +12,14 @@ Usage:
 
 Exit codes: 0 success, 2 usage errors (bad flags or values), 3 verification
 failure (engines disagree, an oracle check fails, a listed enumeration does
-not match its count, or a reference table does not verify). JSON output
-carries counts as decimal strings and round-trips through json.loads.
+not match its count, or a reference table does not verify). Flag values are
+checked before anything is printed. JSON output carries counts as decimal
+strings and round-trips through json.loads.
+
+One parser is built per process. When the first argument names a
+subcommand, the rest go straight to that subcommand's parser; errors, help
+and exit codes are those of parsing the whole line with the top-level
+parser.
 """
 
 from __future__ import annotations
@@ -101,6 +107,8 @@ def _dice_json(pool: DicePool) -> str:
 
 def cmd_count(args) -> int:
     q = HomoQuery(args.dice, args.faces, args.sum)
+    if args.oracle_budget < 0:
+        raise CliError("--oracle-budget must be nonnegative")
     names = list(ENGINE_ORDER) if args.engine == "all" else [args.engine]
     counts = {name: ENGINES[name](q) for name in names}
     if args.format == "plain":
@@ -197,11 +205,11 @@ def cmd_virgins(args) -> int:
     targets = parse_pair(args.targets, "--targets")
     mode = "positive" if args.positive else "nonnegative"
     system = LinearSystem2(generators, targets, mode)
+    if args.list is not None and args.list < 0:
+        raise CliError("--list cap must be nonnegative")
     count = rv_count_solutions(system)
     print(count)
     if args.list is not None:
-        if args.list < 0:
-            raise CliError("--list cap must be nonnegative")
         solutions, truncated = rv_enumerate_solutions(system, args.list)
         for sol in solutions:
             print(" ".join(str(x) for x in sol))
@@ -277,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting of dice sums and related representation problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's own parser, by name, for _parse to dispatch to
+    parser.commands = sub.choices
 
     p = sub.add_parser("count", help="ways n dice with faces 1..m sum to N")
     p.add_argument("--dice", type=int, required=True, help="number of dice n")
@@ -380,9 +390,32 @@ def main(argv: list[str] | None = None) -> int:
         set_limit(saved)
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, or the same exit.
+
+    When the first argument names a subcommand, the rest go straight to
+    that subcommand's parser: the top-level parser would hand them all to
+    it unread. Arguments it leaves over get the top-level error, as from
+    ``parse_args``. Everything else (no arguments, ``-h``, an unknown
+    command) goes through the top-level parser.
+    """
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
 def _run(argv: list[str] | None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

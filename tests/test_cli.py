@@ -263,6 +263,25 @@ def test_virgins_usage_errors(run_cli):
     assert code == 2
 
 
+def test_negative_caps_are_refused_before_any_output(run_cli):
+    code, out, err = run_cli(
+        "virgins", "--gen", "1:1", "--targets", "3:3", "--list", "-1"
+    )
+    assert (code, out, err) == (2, "", "error: --list cap must be nonnegative\n")
+    for oracle in (["--oracle"], []):
+        code, out, err = run_cli(
+            "count", "--dice", "2", "--faces", "6", "--sum", "7", *oracle,
+            "--oracle-budget", "-1",
+        )
+        assert (code, out, err) == (2, "", "error: --oracle-budget must be nonnegative\n")
+    # a valid budget the oracle exceeds still reports after the counts
+    code, out, _ = run_cli(
+        "count", "--dice", "2", "--faces", "6", "--sum", "7", "--oracle",
+        "--oracle-budget", "0",
+    )
+    assert (code, out) == (2, "6\n")
+
+
 def test_verify_paper(run_cli):
     code, out, _ = run_cli("verify-paper", "--table", "table1")
     assert code == 0

@@ -1,0 +1,120 @@
+"""``cli.main`` sends argv straight to the subcommand's parser; it must
+behave exactly as parsing everything with the top-level parser does.
+
+The reference below is that top-level path, written out here: one
+``build_parser().parse_args(argv)``, then ``args.func``, with the same
+error handling as ``main``. Both run on the interpreter's own argparse,
+so the comparison holds on whichever version runs the tests.
+"""
+
+import contextlib
+import io
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sumways import cli
+from sumways.oracle import BudgetExceededError
+
+from test_cli_golden import INVOCATIONS
+
+
+def reference_main(argv):
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except (cli.CliError, ValueError, BudgetExceededError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+
+
+def outcome(fn, argv):
+    """(exit code or parsed Namespace, stdout, stderr) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = fn(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+PROBLEMS = [
+    "count --dice 2 --faces 6 --sum 7 --bogus",
+    "count --dice 2 --faces 6 --sum 7 --bogus 3 stray",
+    "count --dice 2 --faces 6 --sum 7 stray",
+    "count --dice 2 --faces 6 --sum 7 -- x",
+    "count -- x",
+    "count --dice 2 --faces 6",
+    "count --dice 2 --faces 6 --sum 7 --engine psychic",
+    "count --dice 2 --faces 6 --sum nope",
+    "count --dice 2 --faces 6 --sum -1",
+    "count --di 2 --fa 6 --su 7",
+    "count --dice 2 --faces 6 --sum 7 --o",
+    "count --dice=2 --faces=6 --sum=7 --engine=all",
+    "count --dice 2 --faces 6 --sum 7 --dice 3",
+    "count --dice 2 --faces 6 --sum 7 --oracle --oracle-budget -1",
+    "count -h",
+    "count --help --dice 2",
+    "table --faces 6 --max-dice 2 --max-sum 4 --format plain",
+    "hetero --die 1..6 --die 1..6 --die 2,4",
+    "hetero --die",
+    "hetero --die 1..6 --sum",
+    "virgins --gen 1:1 --gen 1:2 --gen 1:1 --targets 5:7",
+    "virgins --gen 1:1 --targets 3:3 --list -1",
+    "virgins --targets",
+    "verify-paper --table nope",
+    "verify-paper extra",
+    "-h",
+    "--help",
+    "-- count --dice 2 --faces 6 --sum 7",
+    "",
+    "bogus",
+    "bogus --dice 2",
+    "--dice 2 count",
+]
+
+
+def test_every_invocation_matches_the_top_level_path():
+    for line in INVOCATIONS + PROBLEMS:
+        argv = line.split()
+        assert outcome(cli.main, argv) == outcome(reference_main, argv), line
+
+
+def test_main_reads_sys_argv(monkeypatch):
+    for line in ["count --dice 2 --faces 6 --sum 7", "count -h", "--help", "",
+                 "count --dice 2 --faces 6 --sum 3 --bogus"]:
+        monkeypatch.setattr(sys, "argv", ["sumways", *line.split()])
+        expected = outcome(reference_main, None)
+        assert outcome(lambda _: cli.main(), None) == expected, line
+
+
+COMMANDS = cli.build_parser().commands
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and tokens made of its option strings (whole,
+    abbreviated and with =value) mixed with values good and bad."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    options = [s for action in COMMANDS[name]._actions for s in action.option_strings]
+    value = st.one_of(
+        st.integers(-3, 40).map(str),
+        st.sampled_from(["x", "1..6", "2,4", "1:3", "30:50", "all", "json", "csv",
+                         "plain", "poly", "lambda", "table1", "--", "-", "", "-1x"]),
+    )
+    option = st.sampled_from(options).flatmap(
+        lambda s: st.integers(min(len(s), 3), len(s)).map(lambda k: s[:k]))
+    token = st.one_of(option, option, value,
+                      st.tuples(option, value).map(lambda ov: "%s=%s" % ov))
+    return [name, *draw(st.lists(token, max_size=10))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_parsed_namespaces_match_the_top_level_parser(argv):
+    assert outcome(cli._parse, argv) == outcome(cli.build_parser().parse_args, argv)

@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sumways import golden
 from sumways.golden import (
     GOLDEN_TABLE_IDS,
+    Mismatch,
     load_golden,
     verify_against_paper,
 )
-from sumways.homogeneous import binomial
+from sumways.homogeneous import binomial, count_table_add_die
 
 
 def test_ids_and_unknown():
@@ -14,6 +18,13 @@ def test_ids_and_unknown():
         load_golden("nope")
     with pytest.raises(ValueError):
         verify_against_paper("nope")
+
+
+def test_load_golden_returns_a_fresh_dict_each_call():
+    for table_id in GOLDEN_TABLE_IDS:
+        first = load_golden(table_id)
+        first.clear()
+        assert load_golden(table_id) != first
 
 
 def test_table1_shape_and_flagged_misprint():
@@ -84,3 +95,58 @@ def test_corrected_table_satisfies_structure():
         for lam in range(0, 6):
             if n + lam <= 36:
                 assert value[(n + lam, n)] == binomial(n + lam - 1, lam)
+
+
+TRUE_TABLE1 = count_table_add_die(6, 8, 36)
+CELLS = st.tuples(st.integers(1, 36), st.integers(1, 8))
+SHIFTS = st.integers(-3, 3).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(CELLS, SHIFTS, max_size=6),
+    st.integers(1, 36),
+    st.lists(st.integers(1, 8), min_size=2, max_size=2, unique=True),
+    SHIFTS,
+    st.booleans(),
+    st.booleans(),
+)
+@example({}, 1, [1, 2], 1, False, False)
+@example({}, 26, [7, 8], 1, True, False)
+@example({(26, 8): 0}, 1, [1, 2], 1, False, True)
+@example({(26, 8): 2}, 1, [1, 2], 1, False, False)
+def test_table1_reports_every_altered_cell(
+    shifts, row, pair, pair_shift, alter_pair, fix_erratum
+):
+    # Altered cells print the true count shifted by a nonzero amount; the
+    # erratum cell keeps its misprint unless it is put back to the true
+    # value (shift 0 there means "correct it").
+    shifts = dict(shifts)
+    if alter_pair:
+        shifts.update({(row, n): pair_shift for n in pair})
+    if fix_erratum:
+        shifts[(26, 8)] = 0
+    data = load_golden("table1")
+    for (N, n), shift in shifts.items():
+        data["rows"][N - 1]["counts"][n - 1] = str(TRUE_TABLE1[N][n - 1] + shift)
+    expected = [
+        Mismatch(
+            "(N=%d,n=%d)" % (N, n),
+            int(data["rows"][N - 1]["counts"][n - 1]),
+            TRUE_TABLE1[N][n - 1],
+            125588 if (N, n) == (26, 8) else None,
+        )
+        for N in range(1, 37)
+        for n in range(1, 9)
+        if int(data["rows"][N - 1]["counts"][n - 1]) != TRUE_TABLE1[N][n - 1]
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(golden, "load_golden", lambda table_id: data)
+        report = verify_against_paper("table1")
+    assert report.total_entries == 288
+    assert [m.label for m in report.mismatches] == [m.label for m in expected]
+    assert report.mismatches == tuple(expected)
+    assert report.matching == 288 - len(expected)
+    # a mismatch at the flagged cell is explained by the erratum whatever
+    # was printed there; any other mismatch makes the report unclean
+    assert report.clean == all(m.label == "(N=26,n=8)" for m in expected)
