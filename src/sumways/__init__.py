@@ -50,7 +50,7 @@ from .polygonal import (
     polygonal_series,
 )
 from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
-from .series import IntPoly, coeff, intpoly, inverse_product_grid, poly_mul, poly_pow
+from .series import IntPoly, coeff, intpoly, inverse_product_grid
 from .golden import GOLDEN_TABLE_IDS, load_golden, verify_against_paper
 
 __version__ = "0.1.0"
@@ -87,8 +87,6 @@ __all__ = [
     "lambda_recurrence_trace",
     "load_golden",
     "ordered_representation_counts",
-    "poly_mul",
-    "poly_pow",
     "polygonal_number",
     "polygonal_parts",
     "polygonal_series",

@@ -4,7 +4,8 @@ count(N) is the coefficient of x^N in (x + x^2 + ... + x^m)^n. Four engines
 compute it by genuinely different routes and exist to check one another:
 
 ``count_poly``
-    expand the polynomial power and read the coefficient off.
+    expand the polynomial power, one die at a time on the packed
+    accumulator of ``series.marks_product``, and read the coefficient off.
 
 ``count_table_add_die``
     tabulate every (N, n) up to given maxima by adding one die at a time:
@@ -57,7 +58,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import sub
 from typing import NamedTuple
 
-from .series import Count, IntPoly, coeff, intpoly, poly_pow
+from .series import Count, marks_product
 
 
 class DivisibilityError(RuntimeError):
@@ -101,8 +102,8 @@ def _window(q: HomoQuery) -> int:
 
 
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
-def _die_power(n: int, m: int, window: int) -> IntPoly:
-    return poly_pow(intpoly([0] + [1] * m), n, bound=window)
+def _die_power(n: int, m: int, window: int) -> tuple[Count, ...]:
+    return tuple(marks_product([range(1, m + 1)] * n, window))
 
 
 def count_poly(q: HomoQuery) -> Count:
@@ -110,9 +111,10 @@ def count_poly(q: HomoQuery) -> Count:
 
     The power is expanded out to the window of the module docstring and
     remembered per (n, m, window), so a shape seen before answers any sum
-    in the same window without multiplying.
+    in the same window without multiplying; a sum past the support reads 0.
     """
-    return coeff(_die_power(q.n, q.m, _window(q)), q.N)
+    power = _die_power(q.n, q.m, _window(q))
+    return power[q.N] if q.N < len(power) else 0
 
 
 def _add_die_columns(m: int, n_max: int, N_max: int):

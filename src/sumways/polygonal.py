@@ -9,10 +9,12 @@ formula.
 Representation counting comes in two flavors that are deliberately both
 here, because "a sum of k polygonal numbers" can be read two ways:
 
-* ordered, zeros allowed: raise ``polygonal_series(m, bound)``, the
-  series sum of x^(p_j) (which starts 1 + x + ...), to the k-th power;
-  the coefficient at N counts ordered k-tuples.
-  ``ordered_representation_counts`` / ``check_all_positive``.
+* ordered, zeros allowed: the k-th power of the series sum of x^(p_j)
+  (which starts 1 + x + ...), built by ``series.marks_product`` with the
+  m-gonal numbers up to bound as the marks of each of k factors; the
+  coefficient at N counts ordered k-tuples.
+  ``ordered_representation_counts`` / ``check_all_positive``;
+  ``polygonal_series(m, bound)`` is the case k = 1.
 
 * unordered, over a ``PartSet``: ``polygonal_parts(m, bound)`` holds the
   numbers themselves, 0 included; a caller who wants no zero part drops
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, takewhile
 
-from .series import Count, IntPoly, coeff, intpoly, inverse_product_grid, poly_pow
+from .series import Count, IntPoly, coeff, intpoly, inverse_product_grid, marks_product
 
 
 def polygonal_number(m: int, j: int) -> int:
@@ -56,11 +58,7 @@ def polygonal_series(m: int, bound: int) -> IntPoly:
 
     Starts 1 + x + x^m + ...; the result carries the truncation bound.
     """
-    parts = _polygonal_numbers(m, bound)
-    cs = [0] * (bound + 1)
-    for p in parts:
-        cs[p] = 1
-    return intpoly(cs, bound)
+    return ordered_representation_counts(m, 1, bound)
 
 
 def ordered_representation_counts(m: int, k: int, bound: int) -> IntPoly:
@@ -71,7 +69,8 @@ def ordered_representation_counts(m: int, k: int, bound: int) -> IntPoly:
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive int")
-    return poly_pow(polygonal_series(m, bound), k, bound)
+    parts = _polygonal_numbers(m, bound)
+    return intpoly(marks_product([parts] * k, bound), bound)
 
 
 def check_all_positive(p: IntPoly, upto: int) -> int | None:

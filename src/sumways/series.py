@@ -1,20 +1,15 @@
-"""Exact dense polynomial arithmetic over arbitrary-precision integers.
+"""Exact polynomial kernels over arbitrary-precision integers.
 
-Coefficients are Python ints stored densely, index = exponent. A value is
-either an ordinary finite polynomial (``bound is None``) or the truncation of
-a power series, in which case ``bound`` is the largest exponent the value
-retains (inclusive) and is part of the value itself.
+``IntPoly`` stores coefficients as Python ints, densely, index = exponent.
+A value is either an ordinary finite polynomial (``bound is None``) or the
+truncation of a power series, in which case ``bound`` is the largest
+exponent the value retains (inclusive) and is part of the value itself.
 
-Combining rule for bounds: exact values combine with anything; two values
-truncated at the same bound combine freely; two different finite bounds are
-rejected unless the caller explicitly asks for a result bound that is no
-wider than the narrowest input window. Nothing is ever re-truncated silently.
-
-Products use Kronecker substitution (Schoenhage 1982; Harvey, J. Symb.
-Comput. 2009): both operands are packed into single integers with one
-coefficient per fixed-width slot, multiplied once by CPython's big-int
-multiply, and unpacked. Slots are wide enough for every product
-coefficient, so the result is exact. Powers use binary powering.
+Products of "die" polynomials, each a sum of x^mark over a multiset of
+nonnegative marks, are ``marks_product``: one packed accumulator, a big
+integer with one coefficient per fixed-width slot, takes each factor as
+shifted adds. Like dice, unlike dice and powers of the polygonal series
+are all such products, truncated at a target.
 
 The two-variable lattice kernel, ``inverse_product_grid``, returns the
 plain ``list[list[int]]`` its walk built. It checks the steps and bounds it
@@ -25,9 +20,9 @@ again.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, sub
 from typing import Iterable, Sequence
 
 Count = int
@@ -85,122 +80,104 @@ def coeff(p: IntPoly, e: int) -> int:
     return p.coeffs[e]
 
 
-def _combined_bound(a: IntPoly, b: IntPoly, requested: int | None) -> int | None:
-    finite = [x.bound for x in (a, b) if x.bound is not None]
-    window = min(finite) if finite else None
-    if requested is None:
-        if len(finite) == 2 and finite[0] != finite[1]:
-            raise ValueError(
-                "mixed truncation bounds %d and %d; pass an explicit result bound"
-                % (finite[0], finite[1])
-            )
-        return window
-    if requested < 0:
-        raise ValueError("bound must be nonnegative")
-    if window is not None and requested > window:
-        raise ValueError(
-            "requested bound %d exceeds the known window %d" % (requested, window)
-        )
-    return requested
+def _runs(marks: Iterable[int]) -> list[list[int]]:
+    """[lo, length, multiplicity] for each maximal run of consecutive marks
+    that share one multiplicity, ascending."""
+    counts = Counter(marks)
+    runs: list[list[int]] = []
+    for v in sorted(counts):
+        c = counts[v]
+        if runs and runs[-1][0] + runs[-1][1] == v and runs[-1][2] == c:
+            runs[-1][1] += 1
+        else:
+            runs.append([v, 1, c])
+    return runs
 
 
-def _magnitude_bits(cs: Sequence[int]) -> tuple[int, bool]:
-    """Bit length of the largest |coefficient|, and whether any is negative."""
-    lo = min(cs)
-    return max(max(cs), -lo).bit_length(), lo < 0
+def _times_ones(acc: int, length: int, slot: int) -> int:
+    """acc * (1 + x + ... + x^(length-1)) with x = 2^slot, by doubling.
 
-
-def _slot_ones(n: int, width: int) -> int:
-    """The integer with a 1 at the bottom of each of n slots."""
-    return int.from_bytes((b"\x01" + bytes(width - 1)) * n, "little")
-
-
-def _pack(cs: Sequence[int], width: int, signed: bool) -> int:
-    """The integer sum of cs[i] * 2^(8*width*i), built in one pass.
-
-    Each coefficient is written as ``width`` little-endian bytes. A signed
-    operand is written with every slot biased by half a slot, so each slot
-    is nonnegative, and the bias is taken off again in one big-int
-    subtraction, which makes all the two's-complement borrows at once.
+    Walks the bits of ``length`` from the top: each bit doubles the run
+    (add a copy shifted by the run so far), a set bit then lengthens it by
+    one (shift by one slot and add acc).
     """
-    if not signed:
-        return int.from_bytes(
-            b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))), "little"
-        )
-    half = 1 << (8 * width - 1)
-    biased = map(int.to_bytes, map(add, cs, repeat(half)), repeat(width), repeat("little"))
-    return int.from_bytes(b"".join(biased), "little") - half * _slot_ones(len(cs), width)
-
-
-def _unpack(packed: int, n: int, width: int, signed: bool) -> list[int]:
-    """The first n slots of a packed value, as coefficients.
-
-    A signed value gets half a slot added to every slot first, which makes
-    the carries out of negative slots in one big-int addition; each slot
-    then holds coefficient + half with no carry left to propagate.
-    """
-    half = 1 << (8 * width - 1)
-    if signed:
-        packed += half * _slot_ones(n, width)
-    nbytes = n * width
-    data = (packed & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
-    fields = struct.Struct("%ds" % width * n).unpack(data)
-    slots = map(int.from_bytes, fields, repeat("little"))
-    if signed:
-        return list(map(sub, slots, repeat(half)))
-    return list(slots)
-
-
-def poly_mul(a: IntPoly, b: IntPoly, bound: int | None = None) -> IntPoly:
-    """Exact product, optionally truncated at ``bound``.
-
-    Kronecker substitution: each operand is packed into one integer, one
-    coefficient per slot of whole bytes, the two integers are multiplied
-    once by CPython's big-int multiply (Karatsuba), and the product's slots
-    are read back as the coefficients. A slot holds
-    bitlen(max|a|) + bitlen(max|b|) + bitlen(min(len a, len b)) bits plus a
-    sign bit, enough for any coefficient of the product, so every count is
-    exact. Under a bound, both operands are cut to bound+1 terms first and
-    only the first bound+1 slots are read. Packing and unpacking are
-    linear in the number of bytes.
-    """
-    rb = _combined_bound(a, b, bound)
-    ac, bc = a.coeffs, b.coeffs
-    if not ac or not bc:
-        return IntPoly((), rb)
-    n = len(ac) + len(bc) - 1
-    if rb is not None and rb < n - 1:
-        n = rb + 1
-        ac, bc = ac[:n], bc[:n]
-    a_bits, a_signed = _magnitude_bits(ac)
-    b_bits, b_signed = (a_bits, a_signed) if a is b else _magnitude_bits(bc)
-    bits = a_bits + b_bits + min(len(ac), len(bc)).bit_length() + 1  # + sign
-    width = (bits + 7) // 8
-    packed_a = _pack(ac, width, a_signed)
-    packed_b = packed_a if a is b else _pack(bc, width, b_signed)
-    product = _unpack(packed_a * packed_b, n, width, a_signed or b_signed)
-    while product and not product[-1]:
-        product.pop()
-    return IntPoly(tuple(product), rb)
-
-
-def poly_pow(base: IntPoly, k: int, bound: int | None = None) -> IntPoly:
-    """k-th power by binary powering; k = 0 gives 1.
-
-    Squares for each bit of k below the top one, and multiplies by the base
-    for each set bit: about 2*log2(k) products instead of k.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("exponent must be a nonnegative int")
-    rb = _combined_bound(base, base, bound)
-    if k == 0:
-        return intpoly((1,), rb)
-    result = intpoly(base.coeffs, rb)
-    for bit in bin(k)[3:]:
-        result = poly_mul(result, result, rb)
+    run, have = acc, 1
+    for bit in bin(length)[3:]:
+        run += run << (have * slot)
+        have *= 2
         if bit == "1":
-            result = poly_mul(result, base, rb)
-    return result
+            run = acc + (run << slot)
+            have += 1
+    return run
+
+
+def _add_die(acc: int, runs: list[list[int]], slot: int, limit: int) -> int:
+    """The packed accumulator times the factor's polynomial over x^(lowest
+    mark), up to x^limit: runs starting past it are skipped and runs
+    reaching past it are cut at it."""
+    base = runs[0][0]
+    out = 0
+    for lo, length, c in runs:
+        lo -= base
+        if lo > limit:
+            break
+        term = _times_ones(acc, min(length, limit + 1 - lo), slot)
+        # skip the no-op steps (times 1, shift by 0, 0 + term): each would
+        # copy the whole accumulator
+        if c != 1:
+            term *= c
+        if lo:
+            term <<= lo * slot
+        out = out + term if out else term
+    return out
+
+
+def _unpack(packed: int, n: int, width: int) -> list[int]:
+    """The n slots of ``width`` bytes of a packed value below 2^(8*width*n),
+    as coefficients."""
+    data = packed.to_bytes(n * width, "little")
+    fields = struct.Struct("%ds" % width * n).unpack(data)
+    return list(map(int.from_bytes, fields, repeat("little")))
+
+
+def marks_product(factors: Sequence[Sequence[int]], bound: int) -> list[int]:
+    """Coefficients at x^0..x^bound of the product over factors of the sum
+    of x^mark over each factor's marks.
+
+    Each factor is a nonempty collection of nonnegative marks; a repeated
+    mark counts once per time it appears. The product lives on one packed
+    accumulator, a big integer with one coefficient per slot. The slot
+    width is fixed once, from the product of the factors' lengths: every
+    coefficient of every partial product counts some of those outcomes, so
+    none exceeds it and no slot carries into the next. A factor is applied
+    as shifted adds, one run of consecutive marks of equal multiplicity c
+    at a time: a run lo..lo+len-1 multiplies the accumulator by
+    c * x^lo * (1 + x + ... + x^(len-1)), built by doubling. Each factor's
+    lowest mark is taken off the bound, and the accumulator keeps only the
+    slots up to what is left; a factor equal to the one before reuses its
+    runs.
+    """
+    outcomes = 1
+    for marks in factors:
+        outcomes *= len(marks)
+    width = (outcomes.bit_length() + 7) // 8
+    slot = 8 * width
+    acc, limit, top = 1, bound, 0
+    last = None
+    for marks in factors:
+        if marks != last:
+            runs, last = _runs(marks), marks
+        limit -= runs[0][0]
+        if limit < 0:
+            return [0] * (bound + 1)
+        acc = _add_die(acc, runs, slot, limit)
+        # top: the accumulator's degree; a mask copies the whole accumulator,
+        # so it is taken only once the product reaches past the limit
+        top += runs[-1][0] + runs[-1][1] - 1 - runs[0][0]
+        if top > limit:
+            acc &= (1 << (slot * (limit + 1))) - 1
+            top = limit
+    return [0] * (bound - limit) + _unpack(acc, limit + 1, width)
 
 
 def inverse_product_grid(

@@ -1,4 +1,3 @@
-import random
 import tracemalloc
 
 import pytest
@@ -13,9 +12,8 @@ from sumways.heterogeneous import (
 )
 from sumways.oracle import brute_regula
 from sumways.regula import LinearSystem2, rv_count_solutions
-from sumways.series import IntPoly, coeff, intpoly, inverse_product_grid, poly_mul, poly_pow
-
-DIE6 = intpoly([0, 1, 1, 1, 1, 1, 1])
+from sumways import series
+from sumways.series import IntPoly, coeff, intpoly, inverse_product_grid, marks_product
 
 
 def schoolbook(a, b, bound=None):
@@ -30,11 +28,6 @@ def schoolbook(a, b, bound=None):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def rand_poly(rng, max_deg=8, max_abs=9, bound=None):
-    cs = [rng.randint(-max_abs, max_abs) for _ in range(rng.randint(0, max_deg + 1))]
-    return intpoly(cs, bound)
 
 
 class Small(int):
@@ -72,73 +65,6 @@ def test_coeff_conventions():
     assert coeff(p, 2) == 7
     assert coeff(p, 3) == 0
     assert coeff(p, -1) == 0
-
-
-def test_mul_die_squared():
-    sq = poly_mul(DIE6, DIE6)
-    assert coeff(sq, 7) == 6
-    assert coeff(sq, 2) == 1
-    assert coeff(sq, 12) == 1
-    assert coeff(sq, 1) == 0
-    assert coeff(sq, 13) == 0
-
-
-def test_pow_examples():
-    assert coeff(poly_pow(DIE6, 3), 10) == 27
-    assert coeff(poly_pow(DIE6, 4), 14) == 146
-    assert poly_pow(DIE6, 0) == intpoly([1])
-
-
-def test_mul_by_zero_and_one():
-    zero = intpoly([])
-    one = intpoly([1])
-    p = intpoly([3, -1, 4])
-    assert poly_mul(p, zero) == zero
-    assert poly_mul(p, one) == p
-
-
-def test_ring_identities():
-    rng = random.Random(7)
-    for _ in range(60):
-        a, b, c = (rand_poly(rng) for _ in range(3))
-        assert poly_mul(a, b) == poly_mul(b, a)
-        assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
-
-
-def test_pow_is_iterated_mul():
-    rng = random.Random(13)
-    for _ in range(20):
-        a = rand_poly(rng, max_deg=4, max_abs=3)
-        k = rng.randint(0, 5)
-        expect = intpoly([1])
-        for _ in range(k):
-            expect = poly_mul(expect, a)
-        assert poly_pow(a, k) == expect
-
-
-def test_truncated_mul_matches_full():
-    rng = random.Random(17)
-    for _ in range(30):
-        a = rand_poly(rng)
-        b = rand_poly(rng)
-        bound = rng.randint(0, 10)
-        assert poly_mul(a, b, bound).coeffs == intpoly(
-            poly_mul(a, b).coeffs, bound
-        ).coeffs
-
-
-def test_bound_is_part_of_the_value():
-    a = intpoly([1, 1], bound=5)
-    b = intpoly([1, 1], bound=7)
-    with pytest.raises(ValueError):
-        poly_mul(a, b)
-    # explicit narrowing is allowed
-    assert poly_mul(a, b, bound=5).bound == 5
-    # widening past the known window is not
-    with pytest.raises(ValueError):
-        poly_mul(a, a, bound=6)
-    # exact values join bounded ones at the bounded window
-    assert poly_mul(intpoly([1, 1]), a).bound == 5
 
 
 def test_inverse_product_grid_shape():
@@ -211,21 +137,7 @@ def test_every_grid_cell_matches_brute_force(steps, bu, bv):
     assert rv_count_solutions(pos) == brute_regula(pos)
 
 
-# -- the Kronecker kernel against the schoolbook reference --------------------
-
-
-@st.composite
-def coeff_lists(draw, max_len=24):
-    """Signed coefficients of 1 to 1000 bits, dense or mostly zero."""
-    bits = draw(st.integers(1, 1000))
-    top = (1 << bits) - 1
-    value = st.integers(-top, top)
-    if draw(st.booleans()):
-        value = st.one_of(st.just(0), st.just(0), st.just(0), value)
-    return draw(st.lists(value, max_size=max_len))
-
-
-bounds = st.one_of(st.none(), st.integers(0, 50))
+# -- the packed product kernel against the schoolbook reference ----------------
 
 
 def examples(n):
@@ -234,68 +146,6 @@ def examples(n):
     return settings(
         max_examples=n, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-
-
-@examples(200)
-@given(coeff_lists(), coeff_lists(), bounds)
-@example([], [1, 2], None)
-@example([5, -3], [], 0)
-@example([0, 0, 7], [1, 1], 0)
-@example([1, 1], [1, -1], 1)
-def test_mul_matches_schoolbook(a, b, bound):
-    got = poly_mul(intpoly(a), intpoly(b), bound)
-    assert got.coeffs == schoolbook(a, b, bound)
-    assert got.bound == bound
-
-
-@examples(60)
-@given(coeff_lists(), bounds)
-def test_square_matches_schoolbook(a, bound):
-    p = intpoly(a)
-    assert poly_mul(p, p, bound).coeffs == schoolbook(a, a, bound)
-
-
-@examples(100)
-@given(coeff_lists(), coeff_lists(), st.data())
-def test_mixed_bounds_with_explicit_result_bound(a, b, data):
-    ba = data.draw(st.integers(0, 30))
-    bb = data.draw(st.integers(0, 30))
-    rb = data.draw(st.integers(0, min(ba, bb)))
-    got = poly_mul(intpoly(a, ba), intpoly(b, bb), rb)
-    assert got.bound == rb
-    assert got.coeffs == schoolbook(a[: ba + 1], b[: bb + 1], rb)
-
-
-@examples(100)
-@given(coeff_lists(max_len=10), st.integers(1, 20), st.integers(0, 40))
-def test_cancellation_strips_top_slots(p, j, bound):
-    # p * (1 + ... + x^(j-1)) * (1 - x) = p * (1 - x^j): under a bound that
-    # ends inside the gap, the retained top slots cancel to zero
-    a = schoolbook(p, [1] * j)
-    got = poly_mul(intpoly(a), intpoly([1, -1]), bound)
-    assert got.coeffs == schoolbook(a, [1, -1], bound)
-    if len(p) <= bound < j:
-        assert got.coeffs == intpoly(p).coeffs
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
-def test_coefficients_at_slot_boundary(width):
-    half = 1 << (8 * width - 1)
-    for c in (half - 1, half, half + 1):
-        for a in ([c, c, c], [c, -c, c], [-c, 0, -c], [c] * 255, [-c, c] * 127):
-            for b in ([c], [-c, c], [c] * 255, a):
-                assert poly_mul(intpoly(a), intpoly(b)).coeffs == schoolbook(a, b)
-
-
-@examples(60)
-@given(coeff_lists(max_len=8), st.integers(0, 9), bounds)
-def test_pow_matches_schoolbook(a, k, bound):
-    expect = (1,)
-    for _ in range(k):
-        expect = schoolbook(expect, a, bound)
-    got = poly_pow(intpoly(a), k, bound)
-    assert got.coeffs == expect
-    assert got.bound == bound
 
 
 # Any marks, duplicates allowed, or runs of consecutive marks up to 40 long
@@ -329,3 +179,94 @@ def test_hetero_distribution_matches_schoolbook(dice):
     # every truncated count, from below the support to past it
     for N, want in enumerate(expect + (0, 0)):
         assert hetero_count_product(pool, N) == want, N
+
+
+def schoolbook_product(factors, bound):
+    """Coefficients at x^0..x^bound of the product over factors of the sum
+    of x^mark, by schoolbook products of the dense factor polynomials."""
+    expect = (1,)
+    for marks in factors:
+        die = [0] * (max(marks) + 1)
+        for v in marks:
+            die[v] += 1
+        expect = schoolbook(expect, die, bound)
+    return list(expect) + [0] * (bound + 1 - len(expect))
+
+
+# One to six factors; some draws repeat one factor, as one list object.
+factor_lists = st.one_of(
+    st.lists(die_marks, min_size=1, max_size=6),
+    st.builds(lambda marks, k: [marks] * k, die_marks, st.integers(1, 6)),
+)
+
+
+@st.composite
+def products(draw):
+    """Factors, and a bound from 0 to past the top sum: often below the
+    lowest sum, sometimes inside the support."""
+    factors = draw(factor_lists)
+    return factors, draw(st.integers(0, sum(map(max, factors)) + 3))
+
+
+@examples(150)
+@given(products())
+@example(([[3, 4], [5]], 0))
+@example(([[3, 4], [5]], 7))
+@example(([[3, 4], [5]], 8))
+@example(([[0, 0, 2], [0]], 0))
+@example(([list(range(1, 41)) * 3] * 2, 300))
+def test_marks_product_matches_schoolbook(product):
+    factors, bound = product
+    assert marks_product(factors, bound) == schoolbook_product(factors, bound)
+
+
+# Outcome counts at either side of the edge of a slot of w bytes: factor
+# lengths multiplying to 2^(8w) - 1 and to 2^(8w).
+SLOT_EDGES = [
+    (3, 5, 17),
+    (16, 16),
+    (3, 5, 17, 257),
+    (256, 256),
+    (9, 5, 7, 13, 17, 241),
+    (256, 256, 256),
+]
+
+
+@pytest.mark.parametrize("lengths", SLOT_EDGES)
+def test_marks_product_at_slot_edges(lengths):
+    outcomes = 1
+    for n in lengths:
+        outcomes *= n
+    # every outcome sums to 0: the whole count sits in the lowest slot
+    assert marks_product([[0] * n for n in lengths], 2) == [outcomes, 0, 0]
+    # one face of the first factor moved to 1 splits it over two slots
+    factors = [[0] * (lengths[0] - 1) + [1]] + [[0] * n for n in lengths[1:]]
+    want = [outcomes - outcomes // lengths[0], outcomes // lengths[0], 0]
+    assert marks_product(factors, 2) == want == schoolbook_product(factors, 2)
+
+
+def test_marks_product_finds_runs_of_a_repeated_factor_once(monkeypatch):
+    calls = []
+
+    def counted_runs(marks):
+        calls.append(marks)
+        return runs(marks)
+
+    runs = series._runs
+    monkeypatch.setattr(series, "_runs", counted_runs)
+    die = (1, 2, 2, 5, 6)
+    want = schoolbook_product([die] * 4, 30)
+    assert marks_product([die] * 4, 30) == want
+    assert len(calls) == 1
+    calls.clear()
+    copies = [tuple(list(die)) for _ in range(4)]
+    assert len(set(map(id, copies))) == 4
+    assert marks_product(copies, 30) == want
+    assert len(calls) == 1
+
+
+def test_marks_product_dice_examples():
+    d6 = range(1, 7)
+    assert marks_product([d6] * 3, 10)[10] == 27
+    assert marks_product([d6] * 4, 14)[14] == 146
+    assert marks_product([], 2) == [1, 0, 0]
