@@ -21,7 +21,8 @@ compute it by genuinely different routes and exist to check one another:
 
 ``count_closed_form``
     alternating binomial sum: inclusion-exclusion over how many dice are
-    forced past their largest face.
+    forced past their largest face. Its two binomials are computed once, at
+    the largest such number, and walked down term by term by exact ratios.
 
 All counts are exact Python ints. Writing (P)(n) for the number of ways n
 dice total P, the useful structural facts are: support is n..m*n with value
@@ -227,21 +228,41 @@ def lambda_recurrence_trace(q: HomoQuery) -> list[LambdaStep]:
 def count_closed_form(q: HomoQuery) -> Count:
     """Alternating binomial sum for the count, no recursion.
 
-    With lam = N - n, sum over j of
-    (-1)^j * C(n, j) * C(n + lam - j*m - 1, lam - j*m)
-    for as long as lam - j*m stays nonnegative: compositions with j dice
-    pushed past face m, signed by inclusion-exclusion. The sum is the count
-    itself, so no clamping is needed.
+    With lam = N - n, sum over j from 0 to min(n, lam // m) of
+    (-1)^j * C(n, j) * C(n + rest - 1, rest), rest = lam - j*m:
+    compositions with j dice pushed past face m, signed by
+    inclusion-exclusion. The sum is the count itself, so no clamping is
+    needed.
+
+    The walk runs j downward from its top value, where each binomial is
+    computed once, and updates them by exact ratios: C(n, j-1) =
+    C(n, j) * j / (n-j+1), and as rest grows by m, C(n + rest - 1, rest) is
+    multiplied by (n+rest)...(n+rest+m-1) and divided by (rest+1)...(rest+m).
+    Each division is exact, since its quotient is the next binomial. For
+    wide dice, m > n/2, products of m terms cost as much as the binomial,
+    whose lower index is only n - 1, or far more as m grows, so there each
+    step computes C(n + rest - 1, rest) afresh.
     """
-    lam = q.N - q.n
+    n, m = q.n, q.m
+    lam = q.N - n
     if lam < 0:
         return 0
+    top = min(n, lam // m)
+    rest = lam - top * m
+    ratio = 2 * m <= n
+    choose_j, spread = math.comb(n, top), math.comb(n + rest - 1, rest)
     total = 0
-    for j in range(0, min(q.n, lam // q.m) + 1):
-        rest = lam - j * q.m
-        term = binomial(q.n, j) * binomial(q.n + rest - 1, rest)
-        total += term if j % 2 == 0 else -term
-    return total
+    for j in range(top, 0, -1):
+        term = choose_j * spread
+        total += -term if j % 2 else term
+        choose_j = choose_j * j // (n - j + 1)
+        rest += m
+        if ratio:
+            spread = spread * math.perm(n + rest - 1, m) // math.perm(rest, m)
+        else:
+            spread = math.comb(n + rest - 1, rest)
+    # j = 0: C(n, 0) = 1
+    return total + spread
 
 
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)

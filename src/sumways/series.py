@@ -7,9 +7,12 @@ exponent the value retains (inclusive) and is part of the value itself.
 
 Products of "die" polynomials, each a sum of x^mark over a multiset of
 nonnegative marks, are ``marks_product``: one packed accumulator, a big
-integer with one coefficient per fixed-width slot, takes each factor as
-shifted adds. Like dice, unlike dice and powers of the polygonal series
-are all such products, truncated at a target.
+integer with one coefficient per fixed-width slot, starts as the first die
+written straight into its slots and takes every other die as shifted
+adds. Equal dice are one shape, whose runs of marks are found once and
+whose copies are applied in a row, shapes with the fewest faces first.
+Like dice, unlike dice and powers of the polygonal series are all such
+products, truncated at a target.
 
 The two-variable lattice kernel, ``inverse_product_grid``, returns the
 plain ``list[list[int]]`` its walk built. It checks the steps and bounds it
@@ -80,9 +83,13 @@ def coeff(p: IntPoly, e: int) -> int:
     return p.coeffs[e]
 
 
-def _runs(marks: Iterable[int]) -> list[list[int]]:
+def _runs(marks: tuple[int, ...]) -> list[list[int]]:
     """[lo, length, multiplicity] for each maximal run of consecutive marks
     that share one multiplicity, ascending."""
+    lo, n = min(marks), len(marks)
+    if max(marks) - lo + 1 == n == len(set(marks)):
+        # every mark lo..hi once, as on a plain die: one run
+        return [[lo, n, 1]]
     counts = Counter(marks)
     runs: list[list[int]] = []
     for v in sorted(counts):
@@ -109,6 +116,22 @@ def _times_ones(acc: int, length: int, slot: int) -> int:
             run = acc + (run << slot)
             have += 1
     return run
+
+
+def _pack(runs: list[list[int]], width: int, limit: int) -> tuple[int, int]:
+    """The factor's polynomial over x^(lowest mark), up to x^limit, packed
+    in slots of ``width`` bytes, and its degree there: each run is written
+    straight into its slots, cut at the limit."""
+    base = runs[0][0]
+    top = min(runs[-1][0] + runs[-1][1] - 1 - base, limit)
+    buf = bytearray((top + 1) * width)
+    for lo, length, c in runs:
+        lo -= base
+        if lo > limit:
+            break
+        end = min(lo + length, limit + 1)
+        buf[lo * width : end * width] = c.to_bytes(width, "little") * (end - lo)
+    return int.from_bytes(buf, "little"), top
 
 
 def _add_die(acc: int, runs: list[list[int]], slot: int, limit: int) -> int:
@@ -149,34 +172,45 @@ def marks_product(factors: Sequence[Sequence[int]], bound: int) -> list[int]:
     accumulator, a big integer with one coefficient per slot. The slot
     width is fixed once, from the product of the factors' lengths: every
     coefficient of every partial product counts some of those outcomes, so
-    none exceeds it and no slot carries into the next. A factor is applied
-    as shifted adds, one run of consecutive marks of equal multiplicity c
-    at a time: a run lo..lo+len-1 multiplies the accumulator by
-    c * x^lo * (1 + x + ... + x^(len-1)), built by doubling. Each factor's
-    lowest mark is taken off the bound, and the accumulator keeps only the
-    slots up to what is left; a factor equal to the one before reuses its
-    runs.
+    none exceeds it and no slot carries into the next. Factors with equal
+    marks are one die shape: its runs of consecutive marks of equal
+    multiplicity are found once, and all its copies are applied in a row,
+    the shapes with the fewest faces first (each die costs in proportion
+    to the accumulator it meets, which every face widens). A die that
+    meets the accumulator still at 1, the first one at least, is written
+    straight into its slots; every other is applied as shifted adds, one
+    run at a time: a run lo..lo+len-1 of multiplicity c
+    multiplies the accumulator by c * x^lo * (1 + x + ... + x^(len-1)),
+    built by doubling. Each die's lowest mark is taken off the bound, and
+    the accumulator keeps only the slots up to what is left.
     """
     outcomes = 1
-    for marks in factors:
+    shapes: dict[tuple[int, ...], int] = {}
+    for marks in map(tuple, factors):
         outcomes *= len(marks)
+        shapes[marks] = shapes.get(marks, 0) + 1
     width = (outcomes.bit_length() + 7) // 8
     slot = 8 * width
     acc, limit, top = 1, bound, 0
-    last = None
-    for marks in factors:
-        if marks != last:
-            runs, last = _runs(marks), marks
-        limit -= runs[0][0]
-        if limit < 0:
-            return [0] * (bound + 1)
-        acc = _add_die(acc, runs, slot, limit)
-        # top: the accumulator's degree; a mask copies the whole accumulator,
-        # so it is taken only once the product reaches past the limit
-        top += runs[-1][0] + runs[-1][1] - 1 - runs[0][0]
-        if top > limit:
-            acc &= (1 << (slot * (limit + 1))) - 1
-            top = limit
+    for marks in sorted(shapes, key=len):
+        runs = _runs(marks)
+        base = runs[0][0]
+        span = runs[-1][0] + runs[-1][1] - 1 - base
+        for _ in range(shapes[marks]):
+            limit -= base
+            if limit < 0:
+                return [0] * (bound + 1)
+            if acc == 1:
+                acc, top = _pack(runs, width, limit)
+                continue
+            acc = _add_die(acc, runs, slot, limit)
+            # top: the accumulator's degree; a mask copies the whole
+            # accumulator, so it is taken only once the product reaches
+            # past the limit
+            top += span
+            if top > limit:
+                acc &= (1 << (slot * (limit + 1))) - 1
+                top = limit
     return [0] * (bound - limit) + _unpack(acc, limit + 1, width)
 
 

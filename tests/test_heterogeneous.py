@@ -22,8 +22,11 @@ from test_series import schoolbook
 def test_die_validation():
     with pytest.raises(ValueError):
         MarkedDie(())
-    with pytest.raises(ValueError):
-        MarkedDie((1, -2))
+    for marks in ((1, -2), (1, 2.0), (1, "2"), (3, -1)):
+        with pytest.raises(ValueError, match="marks must be nonnegative ints"):
+            MarkedDie(marks)
+    # bool is an int subclass, and an int subclass is an int
+    assert MarkedDie((True, 2)).marks == (True, 2)
     with pytest.raises(ValueError):
         DicePool(())
 

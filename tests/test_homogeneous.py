@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -135,6 +136,44 @@ def test_closed_form_known_values():
     assert count_closed_form(HomoQuery(3, 6, 12)) == 25
     assert count_closed_form(HomoQuery(2, 6, 1)) == 0
     assert count_closed_form(HomoQuery(2, 6, 13)) == 0
+
+
+def closed_form_reference(n, m, N):
+    """The alternating binomial sum with both binomials of every term
+    computed afresh by math.comb: a reference independent of the ratio
+    walk."""
+    lam = N - n
+    if lam < 0:
+        return 0
+    total = 0
+    for j in range(0, min(n, lam // m) + 1):
+        rest = lam - j * m
+        term = math.comb(n, j) * math.comb(n + rest - 1, rest)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+@st.composite
+def closed_form_queries(draw):
+    n, m = draw(st.integers(1, 250)), draw(st.integers(1, 20))
+    return n, m, draw(st.integers(max(n - 1, 0), n * m + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_form_queries())
+@example((2, 3, 20))  # lam // m = 6 > n: the walk starts at j = n
+@example((4, 6, 16))  # lam = 12, an exact multiple of m: rest starts at 0
+@example((3, 5, 18))  # lam = 15 = n * m: both
+@example((5, 1, 5))  # m = 1
+@example((5, 1, 6))
+@example((1, 6, 1))  # n = 1
+@example((1, 6, 7))
+@example((1, 1, 1))
+@example((190, 6, 665))  # 2m <= n: rest is walked by ratios
+@example((11, 6, 38))  # 2m > n: each step recomputes its binomial
+def test_closed_form_matches_fresh_binomials(query):
+    n, m, N = query
+    assert count_closed_form(HomoQuery(n, m, N)) == closed_form_reference(n, m, N)
 
 
 def test_engines_agree_with_each_other_and_oracle():

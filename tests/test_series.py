@@ -215,6 +215,11 @@ def products(draw):
 @example(([[3, 4], [5]], 8))
 @example(([[0, 0, 2], [0]], 0))
 @example(([list(range(1, 41)) * 3] * 2, 300))
+# the die written straight into its slots has a run of multiplicity > 1
+# that the bound cuts, or a run past the bound
+@example(([list(range(10)) * 2, [1]], 4))
+@example(([[0, 0, 1, 4, 4, 4, 9]], 5))
+@example(([[2, 3, 3, 4, 4, 5, 5]] * 2, 9))
 def test_marks_product_matches_schoolbook(product):
     factors, bound = product
     assert marks_product(factors, bound) == schoolbook_product(factors, bound)
@@ -263,6 +268,23 @@ def test_marks_product_finds_runs_of_a_repeated_factor_once(monkeypatch):
     assert len(set(map(id, copies))) == 4
     assert marks_product(copies, 30) == want
     assert len(calls) == 1
+
+
+def test_marks_product_finds_runs_of_each_distinct_die_once(monkeypatch):
+    calls = []
+
+    def counted_runs(marks):
+        calls.append(marks)
+        return runs(marks)
+
+    runs = series._runs
+    monkeypatch.setattr(series, "_runs", counted_runs)
+    a, b, c = (1, 1, 2, 3, 7), (0, 2, 4), (5, 6, 7, 8, 9, 10)
+    # equal dice as distinct objects, interleaved with other dice
+    pool = [tuple(list(die)) for die in (a, b, a, b, c, a)]
+    assert pool[0] is not pool[2]
+    assert marks_product(pool, 40) == schoolbook_product(pool, 40)
+    assert len(calls) == 3
 
 
 def test_marks_product_dice_examples():
