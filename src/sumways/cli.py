@@ -12,14 +12,19 @@ Usage:
 
 Exit codes: 0 success, 2 usage errors (bad flags or values), 3 verification
 failure (engines disagree, an oracle check fails, a listed enumeration does
-not match its count, or a reference table does not verify). Flag values are
+not match its count, a reference table does not verify, or an engine's
+exact-arithmetic check fails). Flag values are
 checked before anything is printed. JSON output carries counts as decimal
 strings and round-trips through json.loads.
 
 One parser is built per process. When the first argument names a
 subcommand, the rest go straight to that subcommand's parser; errors, help
 and exit codes are those of parsing the whole line with the top-level
-parser.
+parser. A well-formed line (whole option strings, each followed by one
+value that does not start with "-", flags by none) is read on a fast path
+from that parser's own actions, types, choices and defaults; every other
+line, and every line that fails a check, is left to argparse, so argparse
+alone defines the grammar, the help text and every error message.
 """
 
 from __future__ import annotations
@@ -36,7 +41,13 @@ from .heterogeneous import (
     hetero_count_product,
     hetero_distribution,
 )
-from .homogeneous import ENGINE_ORDER, ENGINES, HomoQuery, count_table_add_die
+from .homogeneous import (
+    ENGINE_ORDER,
+    ENGINES,
+    DivisibilityError,
+    HomoQuery,
+    count_table_add_die,
+)
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, brute_dice
 from .polygonal import (
     check_all_positive,
@@ -395,9 +406,13 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
     When the first argument names a subcommand, the rest go straight to
     that subcommand's parser: the top-level parser would hand them all to
-    it unread. Arguments it leaves over get the top-level error, as from
-    ``parse_args``. Everything else (no arguments, ``-h``, an unknown
-    command) goes through the top-level parser.
+    it unread. A well-formed line takes :func:`_parse_fast`; when that
+    gives up, the subcommand's parser reads the line, and arguments it
+    leaves over get the top-level error, as from ``parse_args``. Everything
+    else (no arguments, ``-h``, an unknown command) goes through the
+    top-level parser. The fast path sits beside argparse rather than
+    replacing it: a replacement would have to reproduce argparse's help and
+    error messages, while this way a new option needs no second edit.
     """
     parser = build_parser()
     if argv is None:
@@ -405,12 +420,76 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _parse_fast(command, argv[0], argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(
         argv[1:], argparse.Namespace(command=argv[0])
     )
     if extras:
         parser.error("unrecognized arguments: %s" % " ".join(extras))
     return args
+
+
+@functools.cache
+def _fast_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set]:
+    """What the fast path needs of one subcommand's parser, read once.
+
+    Each whole option string whose action takes one value or none, mapped
+    to that action; the values argparse starts the namespace with (action
+    defaults first, then ``set_defaults``); and the required actions. Help
+    is left out, so ``-h`` sends the line to argparse.
+    """
+    options, defaults = {}, {}
+    for action in command._actions:
+        if action.default is argparse.SUPPRESS:  # -h and --help
+            continue
+        defaults.setdefault(action.dest, action.default)
+        if action.nargs in (None, 0):
+            options.update(dict.fromkeys(action.option_strings, action))
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+    required = {action for action in command._actions if action.required}
+    return options, defaults, required
+
+
+def _parse_fast(
+    command: argparse.ArgumentParser, name: str, tokens: list[str]
+) -> argparse.Namespace | None:
+    """The namespace argparse makes of a well-formed line, or None.
+
+    Each token must be a whole option string; a flag takes no value and
+    any other option exactly one, which must not start with "-". Values
+    are converted by the action's type, checked against its choices and
+    stored by calling the action itself, as argparse does. Anything else
+    (an unknown, abbreviated or ``--opt=value`` token, ``-h``, a missing or
+    dash-led value, a failed conversion or choice, a missing required
+    option) returns None, and argparse reads the line.
+    """
+    options, defaults, required = _fast_table(command)
+    args = argparse.Namespace(command=name, **defaults)
+    seen = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            action(command, args, [], token)
+            continue
+        value = next(tokens, "-")  # a missing value gives up like a dash-led one
+        if value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        action(command, args, value, token)
+    return args if required <= seen else None
 
 
 def _run(argv: list[str] | None) -> int:
@@ -423,6 +502,9 @@ def _run(argv: list[str] | None) -> int:
     except (CliError, ValueError, BudgetExceededError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except DivisibilityError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -63,7 +63,8 @@ from .series import Count, marks_product
 
 
 class DivisibilityError(RuntimeError):
-    """A recurrence step failed to divide exactly; counts would be wrong."""
+    """An exact-arithmetic check failed (a recurrence step left a remainder,
+    or a walk ended at a negative count); counts would be wrong."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
     for _, _, value in _lambda_steps(q.n, q.m, q.N):
         pass
     if value < 0:
-        raise RuntimeError(
+        raise DivisibilityError(
             "recurrence ended at negative count %d for n=%d m=%d N=%d"
             % (value, q.n, q.m, q.N)
         )

@@ -1,7 +1,7 @@
 import json
 import sys
 
-from sumways import cli
+from sumways import cli, homogeneous
 from sumways.homogeneous import binomial
 
 
@@ -87,6 +87,27 @@ def test_count_engine_disagreement_exits_3(run_cli, monkeypatch):
     assert code == 3
     assert out == "6\n6\n6\n999\n"
     assert "disagree" in err
+
+
+def test_failed_exact_arithmetic_check_exits_3(run_cli, monkeypatch):
+    # a λ walk that ends below zero trips the engine's own check
+    monkeypatch.setattr(
+        homogeneous, "_lambda_steps", lambda n, m, N: iter([(1, -1, -1)])
+    )
+    code, out, err = run_cli(
+        "count", "--dice", "2", "--faces", "6", "--sum", "7", "--engine", "lambda"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: recurrence ended at negative count -1")
+
+    def remainder(q):
+        raise homogeneous.DivisibilityError("step left remainder 1")
+
+    monkeypatch.setitem(cli.ENGINES, "closed", remainder)
+    code, out, err = run_cli(
+        "count", "--dice", "2", "--faces", "6", "--sum", "7", "--engine", "closed"
+    )
+    assert (code, out, err) == (3, "", "error: step left remainder 1\n")
 
 
 def test_count_oracle_mismatch_exits_3(run_cli, monkeypatch):

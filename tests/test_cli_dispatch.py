@@ -4,9 +4,12 @@ behave exactly as parsing everything with the top-level parser does.
 The reference below is that top-level path, written out here: one
 ``build_parser().parse_args(argv)``, then ``args.func``, with the same
 error handling as ``main``. Both run on the interpreter's own argparse,
-so the comparison holds on whichever version runs the tests.
+so the comparison holds on whichever version runs the tests. The last
+tests check that well-formed lines really take the fast path in
+``cli._parse``, so a silent fallback to argparse fails a test.
 """
 
+import argparse
 import contextlib
 import io
 import sys
@@ -76,6 +79,10 @@ PROBLEMS = [
     "bogus",
     "bogus --dice 2",
     "--dice 2 count",
+    "count --dice 2 --faces 6 --sum",
+    "hetero --die 1..6 --die",
+    "count --dice 2 --faces 6 --sum 7 --engine all -h",
+    "virgins --gen 1:1 --targets 3:3 --positive --positive",
 ]
 
 
@@ -118,3 +125,66 @@ def argvs(draw):
 @given(argvs())
 def test_parsed_namespaces_match_the_top_level_parser(argv):
     assert outcome(cli._parse, argv) == outcome(cli.build_parser().parse_args, argv)
+
+
+def fast(argv):
+    return cli._parse_fast(COMMANDS[argv[0]], argv[0], argv[1:])
+
+
+# values the fast path must convert exactly as argparse does: leading
+# zeros, digit groups, padding, non-ASCII digits, empty and dash-led
+VALUES = st.one_of(
+    st.integers(0, 40).map(str),
+    st.sampled_from(["007", "-1", "", "1_0", " 7", "\u0663", "1..6", "2,4", "1:3",
+                     "30:50", "x"]),
+)
+
+
+def uses(action, min_size, max_size):
+    """Lists of (tokens, dash-led value?) for uses of one option."""
+    if action.nargs == 0:
+        use = st.sampled_from(action.option_strings).map(lambda s: ([s], False))
+    else:
+        values = VALUES if action.choices is None else st.one_of(
+            st.sampled_from(list(action.choices)), VALUES)
+        use = st.tuples(st.sampled_from(action.option_strings), values).map(
+            lambda ov: (list(ov), ov[1].startswith("-")))
+    return st.lists(use, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def well_formed_argvs(draw):
+    """A subcommand and a line of its whole option strings, in any order:
+    required options most of the time, any option repeated, up to 60 of a
+    repeatable one, flags anywhere; each option but a flag followed by one
+    value. Returns the argv and whether a value starts with "-". Help is
+    left to PROBLEMS."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    found = []
+    for action in COMMANDS[name]._actions:
+        if action.default is argparse.SUPPRESS:
+            continue
+        found += draw(uses(action, 0, 60 if action.dest in ("die", "gen") else 3))
+        if action.required and draw(st.integers(0, 7)):
+            found += draw(uses(action, 1, 1))
+    found = draw(st.permutations(found))
+    argv = [name, *(token for tokens, _ in found for token in tokens)]
+    return argv, any(dash for _, dash in found)
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed_argvs())
+def test_fast_path_takes_every_well_formed_line(line):
+    argv, dash_led = line
+    result = outcome(cli._parse, argv)
+    assert result == outcome(cli.build_parser().parse_args, argv)
+    if isinstance(result[0], argparse.Namespace) and not dash_led:
+        assert fast(argv) == result[0]
+
+
+def test_fast_path_takes_every_golden_line_argparse_accepts():
+    for line in INVOCATIONS:
+        argv = line.split()
+        parsed, _, _ = outcome(cli.build_parser().parse_args, argv)
+        if isinstance(parsed, argparse.Namespace):
+            assert fast(argv) == parsed, line

@@ -97,7 +97,7 @@ def test_lambda_negative_count_raises(monkeypatch):
         yield homogeneous.LambdaStep(1, -1, -1)
 
     monkeypatch.setattr(homogeneous, "_lambda_steps", bad_steps)
-    with pytest.raises(RuntimeError, match="negative count -1"):
+    with pytest.raises(homogeneous.DivisibilityError, match="negative count -1"):
         count_lambda_recurrence(HomoQuery(2, 6, 3))
 
 
