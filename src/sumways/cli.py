@@ -9,6 +9,7 @@ Usage:
     sumways polygonal-check --sides 4 --power 3 --upto 1000
     sumways virgins --gen 1:3 --gen 1:1 --targets 30:50 --list 10
     sumways verify-paper --table all
+    sumways verify-paper --table s22 --format json
 
 Exit codes: 0 success, 2 usage errors (bad flags or values), 3 verification
 failure (engines disagree, an oracle check fails, a listed enumeration does
@@ -98,14 +99,26 @@ def parse_pair(spec: str, what: str) -> tuple[int, int]:
 
 
 # The JSON replies are written directly, laid out as json.dumps(obj,
-# indent=2) lays them out. Their leaves are ints and decimal strings and
-# their keys are fixed names, so nothing needs escaping.
+# indent=2) lays them out: with an indent, json.dumps runs the pure-Python
+# encoder, which is slower and leaves reference cycles behind. Their leaves
+# are ints, bools, null, decimal strings and fixed labels, and their keys
+# are fixed names, so nothing needs escaping.
 _COUNT_JSON = '{\n  "dice": %d,\n  "faces": %d,\n  "sum": %d,\n  "counts": {\n%s\n  }\n}'
 _TABLE_JSON = '{\n  "m": %d,\n  "n_max": %d,\n  "N_max": %d,\n  "rows": [\n%s\n  ]\n}'
 _TABLE_ROW_JSON = '    {\n      "N": %d,\n      "counts": [\n        "%s"\n      ]\n    }'
 _SUM_JSON = '{\n  "dice": %s,\n  "sum": %d,\n  "count": "%d"\n}'
 _DIST_JSON = '{\n  "dice": %s,\n  "total": "%d",\n  "distribution": [\n%s\n  ]\n}'
 _DIST_ENTRY_JSON = '    {\n      "sum": %d,\n      "count": "%d"\n    }'
+_REPORT_JSON = (
+    '  {\n    "table": "%s",\n    "total_entries": %d,\n    "matching": %d,\n'
+    '    "clean": %s,\n    "printed_total": %s,\n    "computed_total": %s,\n'
+    '    "mismatches": %s\n  }'
+)
+_MISMATCH_JSON = (
+    '      {\n        "label": "%s",\n        "printed": "%d",\n'
+    '        "computed": "%d",\n        "corrected": %s,\n'
+    '        "confirmed_erratum": %s\n      }'
+)
 
 
 def _dice_json(pool: DicePool) -> str:
@@ -271,17 +284,50 @@ def _format_report(report: VerifyReport) -> list[str]:
     ]
 
 
+def _json_count(value: int | None) -> str:
+    return "null" if value is None else '"%d"' % value
+
+
+def _json_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _report_json(report: VerifyReport) -> str:
+    """A report's fields as one JSON object, indented as a list item."""
+    mismatches = ",\n".join(
+        _MISMATCH_JSON
+        % (
+            m.label,
+            m.printed,
+            m.computed,
+            _json_count(m.corrected),
+            _json_bool(m.is_confirmed_erratum),
+        )
+        for m in report.mismatches
+    )
+    return _REPORT_JSON % (
+        report.table_id,
+        report.total_entries,
+        report.matching,
+        _json_bool(report.clean),
+        _json_count(report.printed_total),
+        _json_count(report.computed_total),
+        "[\n%s\n    ]" % mismatches if mismatches else "[]",
+    )
+
+
 def cmd_verify_paper(args) -> int:
     ids = list(GOLDEN_TABLE_IDS) if args.table == "all" else [args.table]
-    status = 0
-    for table_id in ids:
-        report = verify_against_paper(table_id)
-        prefix = "%s: " % table_id if args.table == "all" else ""
-        for line in _format_report(report):
-            print(prefix + line)
-        if not report.clean:
-            status = 3
-    return status
+    reports = [verify_against_paper(table_id) for table_id in ids]
+    if args.format == "json":
+        # one object per table checked, in a list whatever --table names
+        print("[\n%s\n]" % ",\n".join(map(_report_json, reports)))
+    else:
+        for report in reports:
+            prefix = "%s: " % report.table_id if args.table == "all" else ""
+            for line in _format_report(report):
+                print(prefix + line)
+    return 0 if all(report.clean for report in reports) else 3
 
 
 @functools.cache
@@ -378,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--table", choices=list(GOLDEN_TABLE_IDS) + ["all"], default="all"
     )
+    p.add_argument("--format", choices=["plain", "json"], default="plain")
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -91,6 +91,8 @@ INVOCATIONS += ["hetero %s" % ODD_POOL] + [
 for k in (8, 16):
     INVOCATIONS += ["hetero %s" % " ".join(["--die 0,0"] * k),
                     "hetero %s --sum 0 --format csv" % " ".join(["--die 0,0"] * k)]
+# Verification reports as JSON objects, one per table checked.
+INVOCATIONS += ["verify-paper --format json", "verify-paper --table s22 --format json"]
 
 
 def run(line: str) -> str:

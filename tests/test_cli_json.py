@@ -1,19 +1,21 @@
 """The CLI's JSON replies: json.dumps(obj, indent=2) layout, library values.
 
-The CLI writes its three JSON shapes (``count``, ``table``, ``hetero`` with
-and without ``--sum``) directly. Each reply must be byte for byte what the
-``json`` module would write for the parsed object, and the parsed values
-must be what the library computes.
+The CLI writes its JSON shapes (``count``, ``table``, ``hetero`` with and
+without ``--sum``, ``verify-paper``'s reports) directly. Each reply must be
+byte for byte what the ``json`` module would write for the parsed object,
+and the parsed values must be what the library computes.
 """
 
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumways import cli
+from sumways import cli, golden
+from sumways.golden import GOLDEN_TABLE_IDS, verify_against_paper
 from sumways.heterogeneous import (
     DicePool,
     MarkedDie,
@@ -121,3 +123,51 @@ def test_hetero_json(marks, target):
             "count": str(hetero_count_product(pool, target)),
         }
     check_json(argv, expected)
+
+
+def report_object(report) -> dict:
+    """A verification report as ``verify-paper --format json`` prints it."""
+    return {
+        "table": report.table_id,
+        "total_entries": report.total_entries,
+        "matching": report.matching,
+        "clean": report.clean,
+        "printed_total": None if report.printed_total is None else str(report.printed_total),
+        "computed_total": None if report.computed_total is None else str(report.computed_total),
+        "mismatches": [
+            {
+                "label": m.label,
+                "printed": str(m.printed),
+                "computed": str(m.computed),
+                "corrected": None if m.corrected is None else str(m.corrected),
+                "confirmed_erratum": m.is_confirmed_erratum,
+            }
+            for m in report.mismatches
+        ],
+    }
+
+
+@pytest.mark.parametrize("table", [*GOLDEN_TABLE_IDS, "all"])
+def test_verify_paper_json(table):
+    ids = GOLDEN_TABLE_IDS if table == "all" else (table,)
+    expected = [report_object(verify_against_paper(table_id)) for table_id in ids]
+    check_json(["verify-paper", "--table", table], expected)
+    if table == "table1":
+        assert expected[0]["mismatches"][0]["corrected"] == "125588"
+
+
+def test_verify_paper_json_reports_a_failed_check(monkeypatch):
+    real = golden.hetero_distribution
+    monkeypatch.setattr(
+        golden, "hetero_distribution", lambda pool: [(N, 2 * c) for N, c in real(pool)]
+    )
+    report = verify_against_paper("s22")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify-paper", "--table", "s22", "--format", "json"])
+    assert code == 3
+    obj = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+    assert obj == [report_object(report)]
+    assert obj[0]["clean"] is False
+    assert (obj[0]["matching"], obj[0]["computed_total"]) == (0, "1152")

@@ -31,6 +31,7 @@ CLI_CALLS = [
     "polygonal-check --sides 4 --power 3 --upto 300 --unordered",
     "virgins --gen 1:3 --gen 1:1 --targets 30:50 --list 10",
     "verify-paper",
+    "verify-paper --format json",
 ]
 
 

@@ -142,6 +142,8 @@ def test_table1_reports_every_altered_cell(
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(golden, "load_golden", lambda table_id: data)
+        # parse the altered data unmemoized; the process-wide parse stays clean
+        mp.setattr(golden, "_table1_printed", golden._table1_printed.__wrapped__)
         report = verify_against_paper("table1")
     assert report.total_entries == 288
     assert [m.label for m in report.mismatches] == [m.label for m in expected]
@@ -150,3 +152,55 @@ def test_table1_reports_every_altered_cell(
     # a mismatch at the flagged cell is explained by the erratum whatever
     # was printed there; any other mismatch makes the report unclean
     assert report.clean == all(m.label == "(N=26,n=8)" for m in expected)
+
+
+def test_verification_recomputes_on_every_call():
+    # Once the printed values are parsed and cached, a wrong engine must
+    # still be caught: nothing the engines computed may be kept.
+    clean = [verify_against_paper(table_id) for table_id in GOLDEN_TABLE_IDS]
+    assert all(report.clean for report in clean)
+    real_table, real_distribution = golden.count_table_add_die, golden.hetero_distribution
+
+    def wrong_table(*shape):
+        table = [list(row) for row in real_table(*shape)]
+        table[5][2] += 1  # (N=5, n=3): printed 6
+        return tuple(map(tuple, table))
+
+    def wrong_distribution(pool):
+        return [(N, count + (N == 14)) for N, count in real_distribution(pool)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(golden, "count_table_add_die", wrong_table)
+        mp.setattr(golden, "hetero_distribution", wrong_distribution)
+        table1 = verify_against_paper("table1")
+        s22 = verify_against_paper("s22")
+    assert table1.mismatches == (
+        Mismatch("(N=5,n=3)", 6, 7, None),
+        Mismatch("(N=26,n=8)", 12588, 125588, 125588),
+    )
+    assert (table1.matching, table1.clean) == (286, False)
+    assert s22.mismatches == (Mismatch("(N=14)", 47, 48, None),)
+    assert (s22.matching, s22.printed_total, s22.computed_total) == (23, 576, 577)
+    assert not s22.clean
+    assert [verify_against_paper(table_id) for table_id in GOLDEN_TABLE_IDS] == clean
+
+
+def is_tuple_of_ints(value) -> bool:
+    if type(value) is tuple:
+        return all(map(is_tuple_of_ints, value))
+    return type(value) is int
+
+
+def test_cached_printed_values_cannot_be_changed_through_load_golden():
+    clean = [verify_against_paper(table_id) for table_id in GOLDEN_TABLE_IDS]
+    table1, s22 = load_golden("table1"), load_golden("s22")
+    for row in table1["rows"]:
+        row["counts"][:] = ["0"] * len(row["counts"])
+    table1["errata"].clear()
+    for entry in s22["entries"]:
+        entry["count"] = "0"
+    s22["total"] = "0"
+    assert [verify_against_paper(table_id) for table_id in GOLDEN_TABLE_IDS] == clean
+    for printed in (golden._table1_printed(), golden._s22_printed()):
+        hash(printed)
+        assert is_tuple_of_ints(printed)
