@@ -122,11 +122,15 @@ _MISMATCH_JSON = (
 
 
 def _dice_json(pool: DicePool) -> str:
-    """The pool's marks as a JSON list of lists, indented as a top-level value."""
-    return "[\n%s\n  ]" % ",\n".join(
-        "    [\n      %s\n    ]" % ",\n      ".join(map(str, die.marks))
-        for die in pool.dice
-    )
+    """The pool's marks as a JSON list of lists, indented as a top-level value.
+
+    Each distinct marks tuple is rendered once; a repeated die reuses it.
+    """
+    rendered = {
+        marks: "    [\n      %s\n    ]" % ",\n      ".join(map(str, marks))
+        for marks in dict.fromkeys(die.marks for die in pool.dice)
+    }
+    return "[\n%s\n  ]" % ",\n".join(rendered[die.marks] for die in pool.dice)
 
 
 def cmd_count(args) -> int:
@@ -178,7 +182,9 @@ def cmd_table(args) -> int:
 def cmd_hetero(args) -> int:
     if not args.die:
         raise CliError("need at least one --die")
-    pool = DicePool(tuple(parse_die_spec(s) for s in args.die))
+    # each distinct spec text is parsed and validated once
+    dice = {spec: parse_die_spec(spec) for spec in dict.fromkeys(args.die)}
+    pool = DicePool(tuple(dice[spec] for spec in args.die))
     if args.sum is not None:
         if args.sum < 0:
             raise CliError("--sum must be nonnegative")

@@ -17,7 +17,9 @@ compute it by genuinely different routes and exist to check one another:
     walk the offset lam = N - n upward through a three-term recurrence
     whose every step divides exactly; intermediates are signed. A step
     reads only the last m+1 values, so the walk keeps a window of them:
-    memory is O(m * bits of the count), not O(N * bits).
+    memory is O(m * bits of the count), not O(N * bits). The walk is one
+    flat loop; ``lambda_recurrence_trace`` runs the same loop and records
+    each step, the count records none.
 
 ``count_closed_form``
     alternating binomial sum: inclusion-exclusion over how many dice are
@@ -165,31 +167,34 @@ class LambdaStep(NamedTuple):
     value: int
 
 
-def _lambda_steps(n: int, m: int, N: int):
-    """Yield (lam, numerator, value) for lam = 1..N - n.
+def _lambda_walk(n: int, m: int, N: int, steps: list[LambdaStep] | None = None) -> int:
+    """Walk lam = 1..N - n and return the value at lam = N - n (1 at lam = 0).
 
     A step reads the values at lam-1, lam-m and lam-m-1 only, so a window
     keeps the last k+1 values, k = min(m, N-n+1), seeded with k zeros for
     the offsets below 0 and the 1 at lam = 0. A walk shorter than m never
     reaches lam >= m, so there the zeros stand in for the values at lam-m
-    and lam-m-1, and a huge m allocates no huge window.
+    and lam-m-1, and a huge m allocates no huge window. Each step is
+    appended to ``steps`` as a LambdaStep when a list is passed; with none,
+    the walk builds nothing per step but the window's new value.
     """
     k = min(m, N - n + 1)
     window = deque([0] * k + [1], maxlen=k + 1)
     a, b, c = n - 1, m * n + m, m * n - n + m + 1
+    value = 1
     for lam in range(1, N - n + 1):
-        # window[0], window[1], window[-1] hold the values at lam-m-1,
-        # lam-m and lam-1
-        numerator = (
-            (a + lam) * window[-1] - (b - lam) * window[1] + (c - lam) * window[0]
-        )
+        # window[0], window[1] and value hold the values at lam-m-1, lam-m
+        # and lam-1
+        numerator = (a + lam) * value - (b - lam) * window[1] + (c - lam) * window[0]
         value, r = divmod(numerator, lam)
         if r:
             raise DivisibilityError(
                 "step lam=%d for n=%d m=%d left remainder %d" % (lam, n, m, r)
             )
         window.append(value)
-        yield lam, numerator, value
+        if steps is not None:
+            steps.append(LambdaStep(lam, numerator, value))
+    return value
 
 
 def count_lambda_recurrence(q: HomoQuery) -> Count:
@@ -204,13 +209,13 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
     every division is exact (a remainder raises DivisibilityError, since it
     would mean the values are not the counts this recurrence characterizes).
     A step reads only the last m+1 values, so only those are kept: memory
-    is O(m * bits of the count), however long the walk.
+    is O(m * bits of the count), however long the walk. The walk is one
+    flat loop that records nothing per step; ``lambda_recurrence_trace``
+    runs the same loop and keeps its steps.
     """
     if q.N < q.n or q.N > q.n * q.m:
         return 0
-    value = 1
-    for _, _, value in _lambda_steps(q.n, q.m, q.N):
-        pass
+    value = _lambda_walk(q.n, q.m, q.N)
     if value < 0:
         raise DivisibilityError(
             "recurrence ended at negative count %d for n=%d m=%d N=%d"
@@ -221,9 +226,10 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
 
 def lambda_recurrence_trace(q: HomoQuery) -> list[LambdaStep]:
     """All recurrence steps from lam = 1 up to lam = N - n, in order."""
-    if q.N < q.n:
-        return []
-    return list(map(LambdaStep._make, _lambda_steps(q.n, q.m, q.N)))
+    steps: list[LambdaStep] = []
+    if q.N >= q.n:
+        _lambda_walk(q.n, q.m, q.N, steps)
+    return steps
 
 
 def count_closed_form(q: HomoQuery) -> Count:

@@ -91,9 +91,7 @@ def test_count_engine_disagreement_exits_3(run_cli, monkeypatch):
 
 def test_failed_exact_arithmetic_check_exits_3(run_cli, monkeypatch):
     # a λ walk that ends below zero trips the engine's own check
-    monkeypatch.setattr(
-        homogeneous, "_lambda_steps", lambda n, m, N: iter([(1, -1, -1)])
-    )
+    monkeypatch.setattr(homogeneous, "_lambda_walk", lambda n, m, N, steps=None: -1)
     code, out, err = run_cli(
         "count", "--dice", "2", "--faces", "6", "--sum", "7", "--engine", "lambda"
     )

@@ -10,6 +10,7 @@ Regenerate it only when a change of output is intended, and review the diff:
 import contextlib
 import io
 import pathlib
+import re
 import sys
 
 from sumways import cli
@@ -120,6 +121,25 @@ def test_reverse_replay_with_warm_memos_matches_golden():
     backward = [run(line) for line in reversed(INVOCATIONS)]
     assert "".join(forward) == GOLDEN.read_text(encoding="utf-8")
     assert backward[::-1] == forward
+
+
+def test_each_distinct_die_spec_is_parsed_once(monkeypatch):
+    # 60 dice written with 10 distinct spec texts: 10 parses per request,
+    # and the output is the golden one
+    calls = []
+    parse = cli.parse_die_spec
+
+    def counting_parse(spec):
+        calls.append(spec)
+        return parse(spec)
+
+    monkeypatch.setattr(cli, "parse_die_spec", counting_parse)
+    golden = re.split(r"(?m)^(?=\$ sumways )", GOLDEN.read_text(encoding="utf-8"))
+    for line in INVOCATIONS:
+        if line.startswith("hetero") and line.count("--die") == 60:
+            calls.clear()
+            assert run(line) in golden
+            assert sorted(calls) == sorted(MIXED_DICE)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumways.heterogeneous import (
@@ -74,6 +74,19 @@ def test_numerator_terms_structure():
     assert sorted(terms) == [0, 6, 8, 12, 14, 18, 20, 26]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=20))
+@example([6, 6, 6])
+@example([30] * 20)
+def test_numerator_equals_schoolbook_product(faces):
+    # the dense expansion against the explicit product of its factors
+    explicit = (1,)
+    for m in faces:
+        explicit = schoolbook(explicit, [1] + [0] * (m - 1) + [-1])
+    expect = {e: c for e, c in enumerate(explicit) if c}
+    assert _merged_numerator(tuple(faces)) == expect
+
+
 def test_closed_form_known_values():
     assert hetero_count_closed_form((6, 8, 12), 14) == 47
     assert hetero_count_closed_form((6, 8, 12), 26) == 1
@@ -84,8 +97,10 @@ def test_closed_form_known_values():
     assert hetero_count_closed_form((4,), 5) == 0
     with pytest.raises(ValueError):
         hetero_count_closed_form((), 3)
-    with pytest.raises(ValueError):
-        hetero_count_closed_form((6, 0), 3)
+    # a bad face count anywhere in the tuple is refused
+    for faces in ((6, 0), (6, -1), (6, 2.0), (0, 6), (-1, 6), (2.0, 6)):
+        with pytest.raises(ValueError, match="face counts must be positive ints"):
+            hetero_count_closed_form(faces, 3)
 
 
 def test_closed_form_equals_product_everywhere():

@@ -93,21 +93,34 @@ def test_lambda_known_values():
 
 def test_lambda_negative_count_raises(monkeypatch):
     # a recurrence that ends below zero must raise even under python -O
-    def bad_steps(n, m, N):
-        yield homogeneous.LambdaStep(1, -1, -1)
+    def bad_walk(n, m, N, steps=None):
+        return -1
 
-    monkeypatch.setattr(homogeneous, "_lambda_steps", bad_steps)
+    monkeypatch.setattr(homogeneous, "_lambda_walk", bad_walk)
     with pytest.raises(homogeneous.DivisibilityError, match="negative count -1"):
         count_lambda_recurrence(HomoQuery(2, 6, 3))
 
 
 def test_lambda_past_support_takes_no_step(monkeypatch):
-    def no_steps(n, m, N):
+    def no_walk(n, m, N, steps=None):
         raise AssertionError("walked the recurrence past the support")
 
-    monkeypatch.setattr(homogeneous, "_lambda_steps", no_steps)
+    monkeypatch.setattr(homogeneous, "_lambda_walk", no_walk)
     assert count_lambda_recurrence(HomoQuery(2, 6, 10**6)) == 0
     assert count_lambda_recurrence(HomoQuery(2, 6, 13)) == 0
+
+
+def test_lambda_count_builds_no_steps(monkeypatch):
+    # the count walks the recurrence without recording it; only the trace
+    # builds a LambdaStep per step
+    def no_step(*fields):
+        raise AssertionError("the count built a LambdaStep")
+
+    monkeypatch.setattr(homogeneous, "LambdaStep", no_step)
+    for q in (HomoQuery(6, 6, 25), HomoQuery(190, 6, 665), HomoQuery(7, 1, 7)):
+        assert count_lambda_recurrence(q) == count_closed_form(q)
+    with pytest.raises(AssertionError, match="built a LambdaStep"):
+        lambda_recurrence_trace(HomoQuery(6, 6, 25))
 
 
 def test_lambda_trace_final_steps():
