@@ -47,10 +47,9 @@ from .polygonal import (
     ordered_representation_counts,
     polygonal_number,
     polygonal_parts,
-    polygonal_series,
 )
 from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
-from .series import IntPoly, coeff, intpoly, inverse_product_grid
+from .series import inverse_product_grid
 from .golden import GOLDEN_TABLE_IDS, load_golden, verify_against_paper
 
 __version__ = "0.1.0"
@@ -62,7 +61,6 @@ __all__ = [
     "DivisibilityError",
     "GOLDEN_TABLE_IDS",
     "HomoQuery",
-    "IntPoly",
     "LinearSystem2",
     "MarkedDie",
     "PartSet",
@@ -71,7 +69,6 @@ __all__ = [
     "brute_partitions",
     "brute_regula",
     "check_all_positive",
-    "coeff",
     "consecutive_pool",
     "count_add_die",
     "count_closed_form",
@@ -82,14 +79,12 @@ __all__ = [
     "hetero_count_closed_form",
     "hetero_count_product",
     "hetero_distribution",
-    "intpoly",
     "inverse_product_grid",
     "lambda_recurrence_trace",
     "load_golden",
     "ordered_representation_counts",
     "polygonal_number",
     "polygonal_parts",
-    "polygonal_series",
     "rv_count_solutions",
     "rv_enumerate_solutions",
     "verify_against_paper",

@@ -57,7 +57,6 @@ from .polygonal import (
     polygonal_parts,
 )
 from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
-from .series import intpoly
 
 
 class CliError(Exception):
@@ -217,10 +216,10 @@ def cmd_polygonal_check(args) -> int:
     if args.unordered:
         parts = polygonal_parts(args.sides, args.upto)
         grid = partition_count_grid(parts, args.power, args.upto)
-        power = intpoly([row[args.power] for row in grid], args.upto)
+        counts = [row[args.power] for row in grid]
     else:
-        power = ordered_representation_counts(args.sides, args.power, args.upto)
-    gap = check_all_positive(power, args.upto)
+        counts = ordered_representation_counts(args.sides, args.power, args.upto)
+    gap = check_all_positive(counts, args.upto)
     if gap is None:
         print("all exponents 0..%d representable" % args.upto)
     else:

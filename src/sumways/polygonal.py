@@ -13,8 +13,8 @@ here, because "a sum of k polygonal numbers" can be read two ways:
   (which starts 1 + x + ...), built by ``series.marks_product`` with the
   m-gonal numbers up to bound as the marks of each of k factors; the
   coefficient at N counts ordered k-tuples.
-  ``ordered_representation_counts`` / ``check_all_positive``;
-  ``polygonal_series(m, bound)`` is the case k = 1.
+  ``ordered_representation_counts`` returns the bound + 1 counts as a
+  plain list; ``check_all_positive`` finds the first zero in such a list.
 
 * unordered, over a ``PartSet``: ``polygonal_parts(m, bound)`` holds the
   numbers themselves, 0 included; a caller who wants no zero part drops
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, takewhile
 
-from .series import Count, IntPoly, coeff, intpoly, inverse_product_grid, marks_product
+from .series import Count, inverse_product_grid, marks_product
 
 
 def polygonal_number(m: int, j: int) -> int:
@@ -53,39 +53,32 @@ def _polygonal_numbers(m: int, bound: int) -> tuple[int, ...]:
     return tuple(takewhile(lambda p: p <= bound, numbers))
 
 
-def polygonal_series(m: int, bound: int) -> IntPoly:
-    """Truncated series with coefficient 1 at every m-gonal number.
+def ordered_representation_counts(m: int, k: int, bound: int) -> list[int]:
+    """k-th power of the m-gonal series at x^0..x^bound, as bound + 1 counts.
 
-    Starts 1 + x + x^m + ...; the result carries the truncation bound.
-    """
-    return ordered_representation_counts(m, 1, bound)
-
-
-def ordered_representation_counts(m: int, k: int, bound: int) -> IntPoly:
-    """k-th power of the m-gonal series, truncated at bound.
-
-    Coefficient at N = ordered k-tuples of m-gonal numbers (zero allowed)
+    Count at N = ordered k-tuples of m-gonal numbers (zero allowed)
     summing to N.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive int")
     parts = _polygonal_numbers(m, bound)
-    return intpoly(marks_product([parts] * k, bound), bound)
+    return marks_product([parts] * k, bound)
 
 
-def check_all_positive(p: IntPoly, upto: int) -> int | None:
-    """Smallest exponent in 0..upto with coefficient 0, or None if none.
+def check_all_positive(counts: list[int], upto: int) -> int | None:
+    """Smallest exponent in 0..upto with count 0, or None if none.
 
-    Refuses to scan past what the value actually knows.
+    Refuses to scan past what the counts actually know.
     """
     if not isinstance(upto, int) or upto < 0:
         raise ValueError("upto must be nonnegative")
-    if p.bound is not None and upto > p.bound:
-        raise ValueError("upto %d exceeds the series bound %d" % (upto, p.bound))
-    for e in range(upto + 1):
-        if coeff(p, e) == 0:
-            return e
-    return None
+    bound = len(counts) - 1
+    if upto > bound:
+        raise ValueError("upto %d exceeds the series bound %d" % (upto, bound))
+    try:
+        return counts.index(0, 0, upto + 1)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,5 @@
 """Exact polynomial kernels over arbitrary-precision integers.
 
-``IntPoly`` stores coefficients as Python ints, densely, index = exponent.
-A value is either an ordinary finite polynomial (``bound is None``) or the
-truncation of a power series, in which case ``bound`` is the largest
-exponent the value retains (inclusive) and is part of the value itself.
-
 Products of "die" polynomials, each a sum of x^mark over a multiset of
 nonnegative marks, are ``marks_product``: one packed accumulator, a big
 integer with one coefficient per fixed-width slot, starts as the first die
@@ -24,63 +19,10 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Count = int
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Canonical dense polynomial: no trailing zero coefficient, zero = ().
-
-    Build values with :func:`intpoly` rather than the raw constructor; the
-    constructor only checks canonical form, it does not normalize.
-    """
-
-    coeffs: tuple[int, ...]
-    bound: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeffs, tuple):
-            raise ValueError("coeffs must be a tuple")
-        # one pass at C speed; only a cell that is not exactly an int sends
-        # the check to the loop, which accepts int subclasses but bool
-        if not set(map(type, self.coeffs)) <= {int}:
-            for c in self.coeffs:
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise ValueError("coefficients must be ints")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("not canonical: trailing zero coefficient")
-        if self.bound is not None:
-            if not isinstance(self.bound, int) or self.bound < 0:
-                raise ValueError("bound must be a nonnegative int or None")
-            if len(self.coeffs) > self.bound + 1:
-                raise ValueError("coefficients extend past the bound")
-
-
-def intpoly(coeffs: Iterable[int], bound: int | None = None) -> IntPoly:
-    """Normalize a coefficient sequence into an IntPoly.
-
-    Exponents above ``bound`` are dropped (that is what a truncated series
-    is); trailing zeros are stripped.
-    """
-    cs = list(coeffs)
-    if bound is not None:
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        del cs[bound + 1 :]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return IntPoly(tuple(cs), bound)
-
-
-def coeff(p: IntPoly, e: int) -> int:
-    """Coefficient at exponent e; 0 off either end of the stored range."""
-    if e < 0 or e >= len(p.coeffs):
-        return 0
-    return p.coeffs[e]
 
 
 def _runs(marks: tuple[int, ...]) -> list[list[int]]:

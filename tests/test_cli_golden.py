@@ -94,6 +94,10 @@ for k in (8, 16):
                     "hetero %s --sum 0 --format csv" % " ".join(["--die 0,0"] * k)]
 # Verification reports as JSON objects, one per table checked.
 INVOCATIONS += ["verify-paper --format json", "verify-paper --table s22 --format json"]
+# Sums of three squares first miss 7: the gap falls exactly at --upto, then
+# just past it, on both routes.
+INVOCATIONS += ["polygonal-check --sides 4 --power 3 --upto %d%s" % (upto, flag)
+                for flag in ("", " --unordered") for upto in (7, 6)]
 
 
 def run(line: str) -> str:

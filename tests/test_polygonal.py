@@ -11,9 +11,7 @@ from sumways.polygonal import (
     partition_count_grid,
     polygonal_number,
     polygonal_parts,
-    polygonal_series,
 )
-from sumways.series import coeff, intpoly
 
 
 def test_polygonal_number_sequences():
@@ -33,31 +31,35 @@ def test_polygonal_number_validation():
     with pytest.raises(ValueError):
         polygonal_number(3, -1)
     with pytest.raises(ValueError):
-        polygonal_series(2, 10)
+        ordered_representation_counts(2, 1, 10)
     with pytest.raises(ValueError):
-        polygonal_series(3, -1)
+        ordered_representation_counts(3, 1, -1)
 
 
 def test_series_windows():
-    s = polygonal_series(3, 10)
-    assert [e for e, c in enumerate(s.coeffs) if c] == [0, 1, 3, 6, 10]
-    assert s.bound == 10
-    s = polygonal_series(4, 9)
-    assert [e for e, c in enumerate(s.coeffs) if c] == [0, 1, 4, 9]
-    s = polygonal_series(7, 0)
-    assert s.coeffs == (1,)
+    s = ordered_representation_counts(3, 1, 10)
+    assert [e for e, c in enumerate(s) if c] == [0, 1, 3, 6, 10]
+    assert len(s) == 10 + 1
+    s = ordered_representation_counts(4, 1, 9)
+    assert [e for e, c in enumerate(s) if c] == [0, 1, 4, 9]
+    s = ordered_representation_counts(7, 1, 0)
+    assert s == [1]
 
 
 def test_ordered_counts_small():
     cubes = ordered_representation_counts(3, 3, 12)
-    assert coeff(cubes, 0) == 1
+    assert cubes[0] == 1
     # 5 = 1+1+3 in three ordered ways; the oracle agrees and freezes it
     parts = polygonal_parts(3, 12)
     assert brute_partitions(parts, 3, 5, ordered=True) == 3
-    assert coeff(cubes, 5) == 3
+    assert cubes[5] == 3
     fourth = ordered_representation_counts(4, 4, 16)
     assert brute_partitions(polygonal_parts(4, 16), 4, 7, ordered=True) == 4
-    assert coeff(fourth, 7) == 4
+    assert fourth[7] == 4
+    # the counts are a plain list of bound + 1 entries; a trailing zero stays
+    squares_cubed = ordered_representation_counts(4, 3, 7)
+    assert type(squares_cubed) is list
+    assert squares_cubed == [1, 3, 3, 1, 3, 6, 3, 0]
     with pytest.raises(ValueError):
         ordered_representation_counts(3, 0, 10)
 
@@ -69,15 +71,15 @@ def test_ordered_counts_match_oracle():
             power = ordered_representation_counts(m, k, bound)
             parts = polygonal_parts(m, bound)
             for N in range(bound + 1):
-                assert coeff(power, N) == brute_partitions(
+                assert power[N] == brute_partitions(
                     parts, k, N, ordered=True
                 ), (m, k, N)
 
 
 def test_check_all_positive():
-    assert check_all_positive(intpoly([1, 1, 1]), 2) is None
-    assert check_all_positive(intpoly([1, 0, 1]), 2) == 1
-    assert check_all_positive(intpoly([0]), 0) == 0
+    assert check_all_positive([1, 1, 1], 2) is None
+    assert check_all_positive([1, 0, 1], 2) == 1
+    assert check_all_positive([0], 0) == 0
     squares_cubed = ordered_representation_counts(4, 3, 100)
     assert check_all_positive(squares_cubed, 100) == 7
     triangles_cubed = ordered_representation_counts(3, 3, 500)
@@ -85,11 +87,26 @@ def test_check_all_positive():
 
 
 def test_check_all_positive_window_guard():
-    p = intpoly([1, 1], bound=5)
+    counts = [1, 1, 1, 1, 1, 1]
+    assert check_all_positive(counts, len(counts) - 1) is None
     with pytest.raises(ValueError):
-        check_all_positive(p, 6)
+        check_all_positive(counts, len(counts))
     with pytest.raises(ValueError):
-        check_all_positive(p, -1)
+        check_all_positive(counts, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=20).flatmap(
+    lambda counts: st.tuples(st.just(counts), st.integers(0, len(counts) - 1))))
+@example(([1, 1, 0], 1))
+@example(([1, 1, 0], 2))
+@example(([0], 0))
+def test_check_all_positive_matches_plain_scan(window):
+    # a 0/1 list and an upto inside it: the C-speed scan must stop exactly
+    # where a plain scan of 0..upto does
+    counts, upto = window
+    expect = next((e for e in range(upto + 1) if counts[e] == 0), None)
+    assert check_all_positive(counts, upto) == expect
 
 
 def test_partset_validation():
@@ -145,7 +162,7 @@ def test_positivity_readings_agree():
             power = ordered_representation_counts(m, k, bound)
             parts = polygonal_parts(m, bound)
             for N in range(bound + 1):
-                ordered_pos = coeff(power, N) > 0
+                ordered_pos = power[N] > 0
                 unordered_pos = count_partitions_with_parts(parts, k, N) > 0
                 assert ordered_pos == unordered_pos, (m, k, N)
 

@@ -13,7 +13,7 @@ from sumways.heterogeneous import (
 from sumways.oracle import brute_regula
 from sumways.regula import LinearSystem2, rv_count_solutions
 from sumways import series
-from sumways.series import IntPoly, coeff, intpoly, inverse_product_grid, marks_product
+from sumways.series import inverse_product_grid, marks_product
 
 
 def schoolbook(a, b, bound=None):
@@ -28,43 +28,6 @@ def schoolbook(a, b, bound=None):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-class Small(int):
-    pass
-
-
-def test_intpoly_canonical():
-    assert intpoly([1, 2, 0, 0]).coeffs == (1, 2)
-    assert intpoly([]).coeffs == ()
-    assert intpoly([0, 0]).coeffs == ()
-    assert intpoly([1, 2, 3, 4], bound=1).coeffs == (1, 2)
-    assert intpoly([1, 0, 0, 4], bound=2).coeffs == (1,)
-    # an int subclass other than bool is an int
-    assert IntPoly((Small(3),)).coeffs == (3,)
-
-
-def test_intpoly_rejects_noncanonical():
-    with pytest.raises(ValueError):
-        IntPoly((1, 0))
-    with pytest.raises(ValueError):
-        IntPoly((1, 2, 3), bound=1)
-    with pytest.raises(ValueError):
-        IntPoly((True,))
-    for cell in (True, 1.0, "1"):
-        with pytest.raises(ValueError):
-            IntPoly((1, cell))
-    with pytest.raises(ValueError):
-        intpoly([1], bound=-1)
-
-
-def test_coeff_conventions():
-    p = intpoly([5, 0, 7])
-    assert coeff(p, 0) == 5
-    assert coeff(p, 1) == 0
-    assert coeff(p, 2) == 7
-    assert coeff(p, 3) == 0
-    assert coeff(p, -1) == 0
 
 
 def test_inverse_product_grid_shape():
