@@ -18,14 +18,12 @@ exact-arithmetic check fails). Flag values are
 checked before anything is printed. JSON output carries counts as decimal
 strings and round-trips through json.loads.
 
-One parser is built per process. When the first argument names a
-subcommand, the rest go straight to that subcommand's parser; errors, help
-and exit codes are those of parsing the whole line with the top-level
-parser. A well-formed line (whole option strings, each followed by one
-value that does not start with "-", flags by none) is read on a fast path
-from that parser's own actions, types, choices and defaults; every other
-line, and every line that fails a check, is left to argparse, so argparse
-alone defines the grammar, the help text and every error message.
+One parser is built per process. A well-formed subcommand line (whole
+option strings, each followed by one value that does not start with "-",
+flags by none) is read on a fast path from that subcommand parser's own
+actions, types, choices and defaults; every other line, and every line
+that fails a check, is parsed whole by argparse, so argparse alone defines
+the grammar, the help text and every error message.
 """
 
 from __future__ import annotations
@@ -42,13 +40,7 @@ from .heterogeneous import (
     hetero_count_product,
     hetero_distribution,
 )
-from .homogeneous import (
-    ENGINE_ORDER,
-    ENGINES,
-    DivisibilityError,
-    HomoQuery,
-    count_table_add_die,
-)
+from .homogeneous import ENGINES, DivisibilityError, HomoQuery, count_table_add_die
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, brute_dice
 from .polygonal import (
     check_all_positive,
@@ -59,10 +51,6 @@ from .polygonal import (
 from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
 
 
-class CliError(Exception):
-    """Bad command line input; reported on stderr, exit 2."""
-
-
 def parse_die_spec(spec: str) -> MarkedDie:
     """Die spec: either lo..hi (consecutive marks) or a comma list."""
     spec = spec.strip()
@@ -71,30 +59,30 @@ def parse_die_spec(spec: str) -> MarkedDie:
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
-            raise CliError("bad die spec %r" % spec) from None
+            raise ValueError("bad die spec %r" % spec) from None
         if lo > hi:
-            raise CliError("bad die spec %r: empty range" % spec)
+            raise ValueError("bad die spec %r: empty range" % spec)
         marks = tuple(range(lo, hi + 1))
     else:
         try:
             marks = tuple(int(part) for part in spec.split(","))
         except ValueError:
-            raise CliError("bad die spec %r" % spec) from None
+            raise ValueError("bad die spec %r" % spec) from None
     try:
         return MarkedDie(marks)
     except ValueError as exc:
-        raise CliError("bad die spec %r: %s" % (spec, exc)) from None
+        raise ValueError("bad die spec %r: %s" % (spec, exc)) from None
 
 
 def parse_pair(spec: str, what: str) -> tuple[int, int]:
     """a:b pair of nonnegative integers."""
     left, sep, right = spec.partition(":")
     if not sep:
-        raise CliError("bad %s %r: expected a:b" % (what, spec))
+        raise ValueError("bad %s %r: expected a:b" % (what, spec))
     try:
         return int(left), int(right)
     except ValueError:
-        raise CliError("bad %s %r: expected a:b" % (what, spec)) from None
+        raise ValueError("bad %s %r: expected a:b" % (what, spec)) from None
 
 
 # The JSON replies are written directly, laid out as json.dumps(obj,
@@ -135,8 +123,8 @@ def _dice_json(pool: DicePool) -> str:
 def cmd_count(args) -> int:
     q = HomoQuery(args.dice, args.faces, args.sum)
     if args.oracle_budget < 0:
-        raise CliError("--oracle-budget must be nonnegative")
-    names = list(ENGINE_ORDER) if args.engine == "all" else [args.engine]
+        raise ValueError("--oracle-budget must be nonnegative")
+    names = list(ENGINES) if args.engine == "all" else [args.engine]
     counts = {name: ENGINES[name](q) for name in names}
     if args.format == "plain":
         for name in names:
@@ -180,13 +168,13 @@ def cmd_table(args) -> int:
 
 def cmd_hetero(args) -> int:
     if not args.die:
-        raise CliError("need at least one --die")
+        raise ValueError("need at least one --die")
     # each distinct spec text is parsed and validated once
     dice = {spec: parse_die_spec(spec) for spec in dict.fromkeys(args.die)}
     pool = DicePool(tuple(dice[spec] for spec in args.die))
     if args.sum is not None:
         if args.sum < 0:
-            raise CliError("--sum must be nonnegative")
+            raise ValueError("--sum must be nonnegative")
         count = hetero_count_product(pool, args.sum)
         if args.format == "plain":
             print(count)
@@ -212,7 +200,7 @@ def cmd_hetero(args) -> int:
 
 def cmd_polygonal_check(args) -> int:
     if args.power < 1:
-        raise CliError("--power must be positive")
+        raise ValueError("--power must be positive")
     if args.unordered:
         parts = polygonal_parts(args.sides, args.upto)
         grid = partition_count_grid(parts, args.power, args.upto)
@@ -229,13 +217,13 @@ def cmd_polygonal_check(args) -> int:
 
 def cmd_virgins(args) -> int:
     if not args.gen:
-        raise CliError("need at least one --gen")
+        raise ValueError("need at least one --gen")
     generators = tuple(parse_pair(s, "--gen") for s in args.gen)
     targets = parse_pair(args.targets, "--targets")
     mode = "positive" if args.positive else "nonnegative"
     system = LinearSystem2(generators, targets, mode)
     if args.list is not None and args.list < 0:
-        raise CliError("--list cap must be nonnegative")
+        raise ValueError("--list cap must be nonnegative")
     count = rv_count_solutions(system)
     print(count)
     if args.list is not None:
@@ -356,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sum", type=int, required=True, help="target sum N")
     p.add_argument(
         "--engine",
-        choices=list(ENGINE_ORDER) + ["all"],
+        choices=list(ENGINES) + ["all"],
         default="poly",
         help="which engine to use, or all of them",
     )
@@ -456,31 +444,22 @@ def main(argv: list[str] | None = None) -> int:
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """What ``build_parser().parse_args(argv)`` returns, or the same exit.
 
-    When the first argument names a subcommand, the rest go straight to
-    that subcommand's parser: the top-level parser would hand them all to
-    it unread. A well-formed line takes :func:`_parse_fast`; when that
-    gives up, the subcommand's parser reads the line, and arguments it
-    leaves over get the top-level error, as from ``parse_args``. Everything
-    else (no arguments, ``-h``, an unknown command) goes through the
-    top-level parser. The fast path sits beside argparse rather than
-    replacing it: a replacement would have to reproduce argparse's help and
-    error messages, while this way a new option needs no second edit.
+    A line whose first argument names a subcommand tries
+    :func:`_parse_fast`; every other line, and every line the fast path
+    gives up on, is read by ``parse_args``. The fast path sits beside
+    argparse rather than replacing it: a replacement would have to
+    reproduce argparse's help and error messages, while this way a new
+    option needs no second edit.
     """
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _parse_fast(command, argv[0], argv[1:])
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0])
-    )
-    if extras:
-        parser.error("unrecognized arguments: %s" % " ".join(extras))
-    return args
+    if command is not None:
+        args = _parse_fast(command, argv[0], argv[1:])
+        if args is not None:
+            return args
+    return parser.parse_args(argv)
 
 
 @functools.cache
@@ -551,7 +530,7 @@ def _run(argv: list[str] | None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CliError, ValueError, BudgetExceededError) as exc:
+    except (ValueError, BudgetExceededError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except DivisibilityError as exc:

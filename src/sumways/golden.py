@@ -19,11 +19,11 @@ value is what the engines produce. ``table1`` is compared a row at a time;
 only a row that differs is walked cell by cell for its mismatches. ``s22``
 is compared whole, and labelled cell by cell only when it differs.
 
-Each data file is read once per process. ``load_golden`` parses it afresh
-for every caller, so a caller may change what it gets. Verification reads
-the printed values parsed once per process into tuples of ints, which no
-caller can change; the engines still recompute every entry on every call,
-and nothing they compute is kept.
+``load_golden`` reads and parses a data file afresh for every caller, so
+a caller may change what it gets. Verification reads the printed values
+parsed once per process into tuples of ints, which no caller can change;
+the engines still recompute every entry on every call, and nothing they
+compute is kept.
 """
 
 from __future__ import annotations
@@ -73,13 +73,8 @@ def load_golden(table_id: str) -> dict:
     """Parsed JSON for one golden table, exactly as shipped; a new dict each call."""
     if table_id not in GOLDEN_TABLE_IDS:
         raise ValueError("unknown golden table %r" % (table_id,))
-    return json.loads(_read_data(table_id))
-
-
-@functools.cache
-def _read_data(table_id: str) -> str:
-    """The text of one shipped data file, read once per process."""
-    return resources.files("sumways").joinpath("data/%s.json" % table_id).read_text()
+    path = resources.files("sumways").joinpath("data/%s.json" % table_id)
+    return json.loads(path.read_text())
 
 
 def _report(table_id: str, total: int, cells, **totals) -> VerifyReport:

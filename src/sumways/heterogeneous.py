@@ -15,8 +15,9 @@ Two engines:
 ``hetero_count_closed_form``
     for dice marked 1..m_i only: expand the product of (1 - x^(m_i)) on a
     dense list of signed coefficients, one shifted subtraction per factor,
-    shift by the number of dice, and divide by (1 - x)^k via binomials.
-    Evaluates single coefficients without building the product.
+    up to the sum asked for less the number of dice; shift by the number of
+    dice, and divide by (1 - x)^k via binomials. Evaluates single
+    coefficients without building the product.
 """
 
 from __future__ import annotations
@@ -91,21 +92,24 @@ def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
     return [(e, c) for e, c in enumerate(counts) if c]
 
 
-def _merged_numerator(face_counts: tuple[int, ...]) -> dict[int, int]:
-    """prod (1 - x^(m_i)) as {exponent: nonzero coefficient}.
+def _merged_numerator(face_counts: tuple[int, ...], limit: int) -> dict[int, int]:
+    """prod (1 - x^(m_i)) up to x^limit, as {exponent: nonzero coefficient}.
 
     The product is expanded on a dense list of coefficients, exponent 0
     upward: a factor subtracts the list shifted up by m_i from itself, one
-    C-speed pass over at most sum(m_i) + 1 entries. The expansion costs
-    O(k * sum(m_i)) rather than the 2^k of the unmerged expansion, and
-    holds sum(m_i) + 1 coefficients whatever the sum asked for.
+    C-speed pass over at most 2 * limit + 1 entries, cut back to limit + 1.
+    A factor with m_i > limit is 1 up to x^limit, so it is checked and
+    skipped, and a negative limit leaves no terms. The expansion costs
+    O(k * limit) rather than the 2^k of the unmerged expansion.
     """
-    acc = [1]
+    acc = [1] if limit >= 0 else []
     for m in face_counts:
         if not isinstance(m, int) or m < 1:
             raise ValueError("face counts must be positive ints")
-        pad = [0] * m
-        acc = list(map(sub, acc + pad, pad + acc))
+        if m <= limit:
+            pad = [0] * m
+            acc = list(map(sub, acc + pad, pad + acc))
+            del acc[limit + 1 :]
     return {e: c for e, c in enumerate(acc) if c}
 
 
@@ -114,17 +118,13 @@ def hetero_count_closed_form(face_counts: tuple[int, ...], N: int) -> Count:
 
     The generating function is x^k * prod (1 - x^(m_i)) / (1 - x)^k for k
     dice. Each merged numerator term c * x^e, shifted to exponent e + k,
-    contributes c * C(N - e - k + k - 1, k - 1) whenever its exponent is at
-    most N; terms past N are simply absent from the sum.
+    contributes c * C(N - e - k + k - 1, k - 1) when e + k <= N, so the
+    numerator is expanded up to x^(N - k) only; below k dice no term does.
     """
     if N < 0:
         raise ValueError("target sum must be nonnegative")
     k = len(face_counts)
     if k < 1:
         raise ValueError("need at least one die")
-    total = 0
-    for e, c in _merged_numerator(face_counts).items():
-        shifted = e + k
-        if shifted <= N:
-            total += c * binomial(N - shifted + k - 1, k - 1)
-    return total
+    terms = _merged_numerator(face_counts, N - k)
+    return sum(c * binomial(N - e - 1, k - 1) for e, c in terms.items())

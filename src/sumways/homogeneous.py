@@ -296,5 +296,3 @@ ENGINES = {
     "lambda": count_lambda_recurrence,
     "closed": count_closed_form,
 }
-
-ENGINE_ORDER = tuple(ENGINES)

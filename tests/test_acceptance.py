@@ -15,7 +15,6 @@ from sumways.heterogeneous import (
     hetero_distribution,
 )
 from sumways.homogeneous import (
-    ENGINE_ORDER,
     ENGINES,
     HomoQuery,
     binomial,
@@ -70,7 +69,7 @@ def test_criterion_1_reference_table_reproduction(run_cli):
 def test_criterion_2_worked_examples_all_engines():
     for N, expect, lam, numerator in ((25, 2856, 19, 54264), (29, 756, 23, 17388)):
         q = HomoQuery(6, 6, N)
-        values = {name: ENGINES[name](q) for name in ENGINE_ORDER}
+        values = {name: ENGINES[name](q) for name in ENGINES}
         assert set(values.values()) == {expect}, values
         trace = lambda_recurrence_trace(q)
         assert trace[-1].lam == lam
@@ -102,7 +101,7 @@ def test_criterion_4_engine_agreement_sweep():
             pool = consecutive_pool((m,) * n)
             for N in range(0, m * n + 3):
                 q = HomoQuery(n, m, N)
-                values = [ENGINES[name](q) for name in ENGINE_ORDER]
+                values = [ENGINES[name](q) for name in ENGINES]
                 values.append(brute_dice(pool, N))
                 assert len(set(values)) == 1, (n, m, N, values)
                 checked += 1

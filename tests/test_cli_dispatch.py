@@ -1,5 +1,6 @@
-"""``cli.main`` sends argv straight to the subcommand's parser; it must
-behave exactly as parsing everything with the top-level parser does.
+"""``cli.main`` reads a well-formed subcommand line on a fast path and
+leaves every other line to the top-level parser; it must behave exactly as
+parsing everything with the top-level parser does.
 
 The reference below is that top-level path, written out here: one
 ``build_parser().parse_args(argv)``, then ``args.func``, with the same
@@ -30,7 +31,7 @@ def reference_main(argv):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (cli.CliError, ValueError, BudgetExceededError) as exc:
+    except (ValueError, BudgetExceededError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from sumways.heterogeneous import (
     hetero_count_product,
     hetero_distribution,
 )
-from sumways.homogeneous import ENGINE_ORDER, ENGINES, HomoQuery, count_closed_form
+from sumways.homogeneous import ENGINES, HomoQuery, count_closed_form
 
 bounded = settings(max_examples=80, deadline=None)
 
@@ -46,13 +46,13 @@ def check_json(argv: list[str], expected: dict) -> None:
     st.integers(1, 60),
     st.integers(1, 20),
     st.integers(0, 1300),
-    st.sampled_from([*ENGINE_ORDER, "all"]),
+    st.sampled_from([*ENGINES, "all"]),
 )
 @example(1, 1, 1, "all")
 @example(3, 5, 0, "all")
 def test_count_json(n, m, N, engine):
     q = HomoQuery(n, m, N)
-    names = ENGINE_ORDER if engine == "all" else (engine,)
+    names = ENGINES if engine == "all" else (engine,)
     check_json(
         ["count", "--dice", str(n), "--faces", str(m), "--sum", str(N),
          "--engine", engine],

@@ -32,6 +32,8 @@ CLI_CALLS = [
     "virgins --gen 1:3 --gen 1:1 --targets 30:50 --list 10",
     "verify-paper",
     "verify-paper --format json",
+    "count --dice=2 --faces=6 --sum=7",
+    "count --di 2 --fa 6 --su 7",
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,7 +64,7 @@ def test_distribution_small():
 
 
 def test_numerator_terms_structure():
-    terms = _merged_numerator((6, 8, 12))
+    terms = _merged_numerator((6, 8, 12), 26)
     assert len(terms) == 8
     assert sum(terms.values()) == 0
     # multiplying out explicitly must give the same signed polynomial
@@ -84,7 +85,7 @@ def test_numerator_equals_schoolbook_product(faces):
     for m in faces:
         explicit = schoolbook(explicit, [1] + [0] * (m - 1) + [-1])
     expect = {e: c for e, c in enumerate(explicit) if c}
-    assert _merged_numerator(tuple(faces)) == expect
+    assert _merged_numerator(tuple(faces), sum(faces)) == expect
 
 
 def test_closed_form_known_values():
@@ -125,6 +126,24 @@ def test_closed_form_thirty_dice():
         assert hetero_count_closed_form(faces, N) == hetero_count_product(
             pool, N
         ), N
+
+
+def test_closed_form_expands_only_up_to_the_sum_asked_for():
+    # a factor with more faces than the sum can reach is 1 below it
+    tracemalloc.start()
+    try:
+        count = hetero_count_closed_form((10**6, 6), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 4
+    assert peak < 1024 * 1024  # the whole numerator would take about 32 MB
+    assert hetero_count_closed_form((10**9, 10**9, 10**9), 10) == 36
+    # below k dice nothing is expanded, but every face count is still checked
+    assert hetero_count_closed_form((10**9, 6), 1) == 0
+    for faces in ((6, 0), (0, 6), (2.0, 6)):
+        with pytest.raises(ValueError, match="face counts must be positive ints"):
+            hetero_count_closed_form(faces, 1)
 
 
 @settings(max_examples=60, deadline=None)

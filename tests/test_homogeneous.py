@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sumways import homogeneous
 from sumways.heterogeneous import consecutive_pool
 from sumways.homogeneous import (
-    ENGINE_ORDER,
     ENGINES,
     HomoQuery,
     binomial,
@@ -21,7 +20,7 @@ from sumways.homogeneous import (
 )
 from sumways.oracle import brute_dice
 
-ALL_ENGINES = [ENGINES[name] for name in ENGINE_ORDER]
+ALL_ENGINES = list(ENGINES.values())
 
 
 def counts_by_all_engines(n, m, N):
