@@ -14,9 +14,10 @@ Usage:
 Exit codes: 0 success, 2 usage errors (bad flags or values), 3 verification
 failure (engines disagree, an oracle check fails, a listed enumeration does
 not match its count, a reference table does not verify, or an engine's
-exact-arithmetic check fails). Flag values are
-checked before anything is printed. JSON output carries counts as decimal
-strings and round-trips through json.loads.
+exact-arithmetic check fails). Flag values are checked before anything is
+printed, except that an oracle whose outcome space exceeds a valid
+--oracle-budget exits 2 after the counts are printed. JSON output carries
+counts as decimal strings and round-trips through json.loads.
 
 One parser is built per process. A well-formed subcommand line (whole
 option strings, each followed by one value that does not start with "-",

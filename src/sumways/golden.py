@@ -36,9 +36,6 @@ from importlib import resources
 from .heterogeneous import consecutive_pool, hetero_distribution
 from .homogeneous import count_table_add_die
 
-GOLDEN_TABLE_IDS = ("table1", "s22")
-
-
 @dataclass(frozen=True)
 class Mismatch:
     """One printed entry the engines disagree with."""
@@ -69,11 +66,16 @@ class VerifyReport:
         return all(m.is_confirmed_erratum for m in self.mismatches)
 
 
-def load_golden(table_id: str) -> dict:
-    """Parsed JSON for one golden table, exactly as shipped; a new dict each call."""
+def _known(table_id: str) -> str:
+    """The id, if it names a shipped table."""
     if table_id not in GOLDEN_TABLE_IDS:
         raise ValueError("unknown golden table %r" % (table_id,))
-    path = resources.files("sumways").joinpath("data/%s.json" % table_id)
+    return table_id
+
+
+def load_golden(table_id: str) -> dict:
+    """Parsed JSON for one golden table, exactly as shipped; a new dict each call."""
+    path = resources.files("sumways").joinpath("data/%s.json" % _known(table_id))
     return json.loads(path.read_text())
 
 
@@ -145,10 +147,10 @@ def _verify_s22() -> VerifyReport:
     return _report("s22", len(cells), cells, **totals)
 
 
+_VERIFIERS = {"table1": _verify_table1, "s22": _verify_s22}
+GOLDEN_TABLE_IDS = tuple(_VERIFIERS)
+
+
 def verify_against_paper(table_id: str) -> VerifyReport:
     """Recompute one golden table and report every disagreement."""
-    if table_id == "table1":
-        return _verify_table1()
-    if table_id == "s22":
-        return _verify_s22()
-    raise ValueError("unknown golden table %r" % (table_id,))
+    return _VERIFIERS[_known(table_id)]()

@@ -38,13 +38,9 @@ class MarkedDie:
     def __post_init__(self) -> None:
         if not self.marks:
             raise ValueError("a die needs at least one face")
-        # one pass at C speed; only a mark that is not exactly an int, or a
-        # negative one, sends the check to the loop, which accepts int
-        # subclasses, bool among them
-        if not set(map(type, self.marks)) <= {int} or min(self.marks) < 0:
-            for v in self.marks:
-                if not isinstance(v, int) or v < 0:
-                    raise ValueError("marks must be nonnegative ints")
+        for v in self.marks:
+            if not isinstance(v, int) or v < 0:
+                raise ValueError("marks must be nonnegative ints")
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,8 @@ def _window(q: HomoQuery) -> int:
 
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def _die_power(n: int, m: int, window: int) -> tuple[Count, ...]:
-    return tuple(marks_product([range(1, m + 1)] * n, window))
+    # a face above the window is part of no sum the window keeps
+    return tuple(marks_product([range(1, min(m, window) + 1)] * n, window))
 
 
 def count_poly(q: HomoQuery) -> Count:

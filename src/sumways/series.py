@@ -2,12 +2,11 @@
 
 Products of "die" polynomials, each a sum of x^mark over a multiset of
 nonnegative marks, are ``marks_product``: one packed accumulator, a big
-integer with one coefficient per fixed-width slot, starts as the first die
-written straight into its slots and takes every other die as shifted
-adds. Equal dice are one shape, whose runs of marks are found once and
-whose copies are applied in a row, shapes with the fewest faces first.
-Like dice, unlike dice and powers of the polygonal series are all such
-products, truncated at a target.
+integer with one coefficient per fixed-width slot, starts at 1 and takes
+every die as shifted adds. Equal dice are one shape, whose runs of marks
+are found once and whose copies are applied in a row, shapes with the
+fewest faces first. Like dice, unlike dice and powers of the polygonal
+series are all such products, truncated at a target.
 
 The two-variable lattice kernel, ``inverse_product_grid``, returns the
 plain ``list[list[int]]`` its walk built. It checks the steps and bounds it
@@ -60,22 +59,6 @@ def _times_ones(acc: int, length: int, slot: int) -> int:
     return run
 
 
-def _pack(runs: list[list[int]], width: int, limit: int) -> tuple[int, int]:
-    """The factor's polynomial over x^(lowest mark), up to x^limit, packed
-    in slots of ``width`` bytes, and its degree there: each run is written
-    straight into its slots, cut at the limit."""
-    base = runs[0][0]
-    top = min(runs[-1][0] + runs[-1][1] - 1 - base, limit)
-    buf = bytearray((top + 1) * width)
-    for lo, length, c in runs:
-        lo -= base
-        if lo > limit:
-            break
-        end = min(lo + length, limit + 1)
-        buf[lo * width : end * width] = c.to_bytes(width, "little") * (end - lo)
-    return int.from_bytes(buf, "little"), top
-
-
 def _add_die(acc: int, runs: list[list[int]], slot: int, limit: int) -> int:
     """The packed accumulator times the factor's polynomial over x^(lowest
     mark), up to x^limit: runs starting past it are skipped and runs
@@ -118,13 +101,12 @@ def marks_product(factors: Sequence[Sequence[int]], bound: int) -> list[int]:
     marks are one die shape: its runs of consecutive marks of equal
     multiplicity are found once, and all its copies are applied in a row,
     the shapes with the fewest faces first (each die costs in proportion
-    to the accumulator it meets, which every face widens). A die that
-    meets the accumulator still at 1, the first one at least, is written
-    straight into its slots; every other is applied as shifted adds, one
-    run at a time: a run lo..lo+len-1 of multiplicity c
-    multiplies the accumulator by c * x^lo * (1 + x + ... + x^(len-1)),
-    built by doubling. Each die's lowest mark is taken off the bound, and
-    the accumulator keeps only the slots up to what is left.
+    to the accumulator it meets, which every face widens). The accumulator
+    starts at 1, and each die is applied as shifted adds, one run at a
+    time: a run lo..lo+len-1 of multiplicity c multiplies the accumulator
+    by c * x^lo * (1 + x + ... + x^(len-1)), built by doubling. Each die's
+    lowest mark is taken off the bound, and the accumulator keeps only the
+    slots up to what is left.
     """
     outcomes = 1
     shapes: dict[tuple[int, ...], int] = {}
@@ -142,9 +124,6 @@ def marks_product(factors: Sequence[Sequence[int]], bound: int) -> list[int]:
             limit -= base
             if limit < 0:
                 return [0] * (bound + 1)
-            if acc == 1:
-                acc, top = _pack(runs, width, limit)
-                continue
             acc = _add_die(acc, runs, slot, limit)
             # top: the accumulator's degree; a mask copies the whole
             # accumulator, so it is taken only once the product reaches

@@ -505,3 +505,15 @@ def test_lambda_short_walk_with_many_faces_allocates_no_window_of_m():
         tracemalloc.stop()
     assert count == 4 == trace[-1].value
     assert peak < 64 * 1024  # a window of m zeros would take about 8 MB
+    # no engine builds a die of m faces for a sum far below m
+    for name, engine in ENGINES.items():
+        homogeneous._die_power.cache_clear()
+        homogeneous._last_add_die_column.cache_clear()
+        tracemalloc.start()
+        try:
+            count = engine(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 4, name
+        assert peak < 64 * 1024, name
