@@ -42,7 +42,7 @@ from .heterogeneous import (
     hetero_distribution,
 )
 from .homogeneous import ENGINES, DivisibilityError, HomoQuery, count_table_add_die
-from .oracle import DEFAULT_BUDGET, BudgetExceededError, brute_dice
+from .oracle import DEFAULT_BUDGET, BudgetExceededError, brute_dice, check_budget
 from .polygonal import (
     check_all_positive,
     ordered_representation_counts,
@@ -142,6 +142,8 @@ def cmd_count(args) -> int:
         print("error: engines disagree: %s" % counts, file=sys.stderr)
         status = 3
     if args.oracle:
+        # the pool has m^n outcomes: refuse before building its faces
+        check_budget(q.m ** q.n, args.oracle_budget, "dice")
         pool = consecutive_pool((q.m,) * q.n)
         reference = brute_dice(pool, q.N, budget=args.oracle_budget)
         if any(c != reference for c in counts.values()):
@@ -204,8 +206,7 @@ def cmd_polygonal_check(args) -> int:
         raise ValueError("--power must be positive")
     if args.unordered:
         parts = polygonal_parts(args.sides, args.upto)
-        grid = partition_count_grid(parts, args.power, args.upto)
-        counts = [row[args.power] for row in grid]
+        counts = partition_count_grid(parts, args.power, args.upto)[args.power]
     else:
         counts = ordered_representation_counts(args.sides, args.power, args.upto)
     gap = check_all_positive(counts, args.upto)

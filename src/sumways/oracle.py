@@ -23,7 +23,8 @@ class BudgetExceededError(RuntimeError):
     """The outcome space is larger than the oracle is willing to walk."""
 
 
-def _check_budget(space: int, budget: int, what: str) -> None:
+def check_budget(space: int, budget: int, what: str) -> None:
+    """Refuse an outcome space larger than the budget, before any walk."""
     if space > budget:
         raise BudgetExceededError(
             "%s outcome space %d exceeds budget %d" % (what, space, budget)
@@ -32,7 +33,7 @@ def _check_budget(space: int, budget: int, what: str) -> None:
 
 def brute_dice(pool: DicePool, N: int, budget: int = DEFAULT_BUDGET) -> Count:
     """Count pool outcomes summing to N by walking all of them."""
-    _check_budget(pool.outcome_count, budget, "dice")
+    check_budget(pool.outcome_count, budget, "dice")
     markses = [d.marks for d in pool.dice]
     return sum(1 for outcome in product(*markses) if sum(outcome) == N)
 
@@ -46,9 +47,9 @@ def brute_partitions(
         raise ValueError("k and N must be nonnegative")
     vals = parts.parts
     if ordered:
-        _check_budget(len(vals) ** k, budget, "ordered parts")
+        check_budget(len(vals) ** k, budget, "ordered parts")
         return sum(1 for t in product(vals, repeat=k) if sum(t) == N)
-    _check_budget(math.comb(len(vals) + k - 1, k), budget, "unordered parts")
+    check_budget(math.comb(len(vals) + k - 1, k), budget, "unordered parts")
     return sum(1 for t in combinations_with_replacement(vals, k) if sum(t) == N)
 
 
@@ -81,5 +82,5 @@ def brute_regula(sys: LinearSystem2, budget: int = DEFAULT_BUDGET) -> Count:
         if b:
             bounds.append(v // b)
         space *= min(bounds) + 1
-    _check_budget(space, budget, "two-equation")
+    check_budget(space, budget, "two-equation")
     return _regula_loops(sys.generators, lo, 0, n, v)

@@ -19,8 +19,9 @@ here, because "a sum of k polygonal numbers" can be read two ways:
 * unordered, over a ``PartSet``: ``polygonal_parts(m, bound)`` holds the
   numbers themselves, 0 included; a caller who wants no zero part drops
   it. A two-variable lattice walk counts multisets of exactly k parts.
-  ``partition_count_grid`` returns the walk's plain grid, indexed
-  grid[N][k]; ``count_partitions_with_parts`` reads one cell of it.
+  ``partition_count_grid`` returns the walk's columns, one per number of
+  parts, indexed cols[k][N]; ``count_partitions_with_parts`` reads one
+  cell of it.
 
 Positivity of one is equivalent to positivity of the other (with zero
 included as a part), and the tests hold the two routes against each other.
@@ -105,8 +106,9 @@ def polygonal_parts(m: int, bound: int) -> PartSet:
 
 
 def partition_count_grid(parts: PartSet, k_max: int, n_max: int) -> list[list[int]]:
-    """Window of prod over parts of 1/(1 - x^p z) as a plain grid: cell
-    grid[N][j] counts multisets of exactly j parts summing to N."""
+    """Window of prod over parts of 1/(1 - x^p z) as k_max + 1 columns of
+    n_max + 1 counts: cell cols[j][N] counts multisets of exactly j parts
+    summing to N."""
     return inverse_product_grid([(p, 1) for p in parts.parts], (n_max, k_max))
 
 
@@ -120,4 +122,4 @@ def count_partitions_with_parts(parts: PartSet, k: int, N: int) -> Count:
         raise ValueError("k must be nonnegative")
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be nonnegative")
-    return partition_count_grid(parts, k, N)[N][k]
+    return partition_count_grid(parts, k, N)[k][N]

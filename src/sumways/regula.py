@@ -8,7 +8,8 @@ x_i >= 0 (or x_i >= 1 in positive mode) with
 This is the classic coin-style problem with two constraints at once (the
 Rule of the Virgins shape: so many heads, so much money). The count is the
 coefficient of u^n w^v in the product over generators of 1/(1 - u^a w^b),
-computed as a dense two-variable lattice walk. Positive mode folds away by
+computed as a dense two-variable lattice walk over whole columns, one per
+power of w; the count is cell n of column v. Positive mode folds away by
 shifting both targets by one copy of every generator.
 """
 
@@ -64,7 +65,7 @@ def rv_count_solutions(sys: LinearSystem2) -> Count:
     if shifted is None:
         return 0
     n, v = shifted
-    return inverse_product_grid(sys.generators, (n, v))[n][v]
+    return inverse_product_grid(sys.generators, (n, v))[v][n]
 
 
 def _solutions(gens, lo: int, rn: int, rv: int, prefix: list[int]):

@@ -9,16 +9,18 @@ fewest faces first. Like dice, unlike dice and powers of the polygonal
 series are all such products, truncated at a target.
 
 The two-variable lattice kernel, ``inverse_product_grid``, returns the
-plain ``list[list[int]]`` its walk built. It checks the steps and bounds it
-is given, which come from outside; the cells it fills are not checked
-again.
+columns its walk built, one list over the first variable for each power of
+the second, and adds whole columns at a time. It checks the steps and
+bounds it is given, which come from outside; the cells it fills are not
+checked again.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import Counter
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import add
 from typing import Sequence
 
 Count = int
@@ -140,12 +142,16 @@ def inverse_product_grid(
 ) -> list[list[int]]:
     """Expand prod over steps of 1 / (1 - u^a v^b), truncated to ``bounds``.
 
-    Returns the plain grid the walk built: bounds[0]+1 rows of bounds[1]+1
-    ints, grid[i][j] the coefficient of u^i v^j. Each factor is absorbed by
-    one in-place lattice pass: cell (i, j) gains cell (i-a, j-b), visiting
-    cells in ascending order so a factor may be used any number of times.
-    Steps must be nonnegative and never (0, 0) (that factor would not be a
-    power series); every step is checked before the grid is allocated.
+    Returns the columns the walk built: bounds[1]+1 lists of bounds[0]+1
+    ints, cols[j][i] the coefficient of u^i v^j. Each factor is absorbed in
+    place: cell (i, j) gains cell (i-a, j-b), in ascending order so a factor
+    may be used any number of times, one whole column per pass. The factors
+    commute, so every (a, 0) step goes first, while only column 0 is
+    nonzero, as prefix sums of stride a; a step (a, b) with b >= 1 then
+    adds column j-b, already final, into column j for j ascending. A step
+    with a past bounds[0] adds nothing and is skipped. Steps must be
+    nonnegative and never (0, 0) (that factor would not be a power series);
+    every step is checked before the grid is allocated.
     """
     bu, bv = bounds
     if bu < 0 or bv < 0:
@@ -155,12 +161,16 @@ def inverse_product_grid(
             raise ValueError("steps must be nonnegative")
         if a == 0 and b == 0:
             raise ValueError("step (0, 0) is not allowed")
-    grid = [[0] * (bv + 1) for _ in range(bu + 1)]
-    grid[0][0] = 1
+    first = [0] * (bu + 1)
+    first[0] = 1
     for a, b in steps:
-        for i in range(a, bu + 1):
-            row = grid[i]
-            src = grid[i - a]
+        if b == 0 and a <= bu:
+            for r in range(a):
+                first[r::a] = accumulate(first[r::a])
+    cols = [first] + [[0] * (bu + 1) for _ in range(bv)]
+    for a, b in steps:
+        if b and a <= bu:
             for j in range(b, bv + 1):
-                row[j] += src[j - b]
-    return grid
+                col = cols[j]
+                col[a:] = map(add, col[a:], cols[j - b][: bu + 1 - a])
+    return cols

@@ -200,7 +200,7 @@ def test_criterion_9_three_triangles_equivalence():
     grid = partition_count_grid(parts, 3, bound)
     for N in range(bound + 1):
         ordered_pos = power[N] > 0
-        unordered_pos = grid[N][3] > 0
+        unordered_pos = grid[3][N] > 0
         assert ordered_pos == unordered_pos, N
     report(9, "ordered and unordered three-triangle representability agree "
               "for every N <= 500")

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 from sumways import cli, homogeneous
 from sumways.homogeneous import binomial
@@ -77,6 +78,23 @@ def test_count_oracle_budget_too_small(run_cli):
     )
     assert code == 2
     assert "budget" in err
+
+
+def test_count_oracle_refuses_before_building_the_pool(run_cli):
+    # m^n is checked against the budget before any die of 10^7 faces exists
+    run_cli("count", "--dice", "2", "--faces", "6", "--sum", "7")  # builds the parser
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            "count", "--dice", "3", "--faces", "10000000", "--sum", "5",
+            "--engine", "lambda", "--oracle",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "6\n")
+    assert err == "error: dice outcome space %d exceeds budget 10000000\n" % 10**21
+    assert peak < 64 * 1024, peak
 
 
 def test_count_engine_disagreement_exits_3(run_cli, monkeypatch):

@@ -101,7 +101,7 @@ def polygonal_gaps():
     return {
         "ordered": lambda: tuple(c > 0 for c in ordered_representation_counts(4, 3, 30)),
         "unordered": lambda: tuple(
-            row[3] > 0 for row in partition_count_grid(polygonal_parts(4, 30), 3, 30)
+            c > 0 for c in partition_count_grid(polygonal_parts(4, 30), 3, 30)[3]
         ),
         "brute_partitions": lambda: tuple(
             brute_partitions(squares, 3, N, ordered=False) > 0 for N in range(31)

@@ -148,8 +148,8 @@ def test_partition_counts_match_oracle():
 
 def test_partition_grid_shape():
     grid = partition_count_grid(polygonal_parts(3, 8), 3, 8)
-    assert len(grid) == 9
-    assert all(len(row) == 4 for row in grid)
+    assert len(grid) == 4
+    assert all(len(col) == 9 for col in grid)
     assert grid[0][0] == 1
 
 
@@ -175,7 +175,7 @@ def test_positivity_readings_agree():
 @example({2, 3}, True, 0, 5)
 def test_partition_grid_matches_brute_force(nonzero, with_zero, k, N):
     parts = PartSet(tuple(sorted(nonzero | {0} if with_zero else nonzero)))
-    expect = [[brute_partitions(parts, j, n, ordered=False) for j in range(k + 1)]
-              for n in range(N + 1)]
+    expect = [[brute_partitions(parts, j, n, ordered=False) for n in range(N + 1)]
+              for j in range(k + 1)]
     assert partition_count_grid(parts, k, N) == expect
-    assert count_partitions_with_parts(parts, k, N) == expect[N][k]
+    assert count_partitions_with_parts(parts, k, N) == expect[k][N]

@@ -31,27 +31,27 @@ def schoolbook(a, b, bound=None):
 
 
 def test_inverse_product_grid_shape():
-    # a plain list of bounds[0]+1 rows of bounds[1]+1 ints
+    # a plain list of bounds[1]+1 columns of bounds[0]+1 ints
     for bounds in ((0, 0), (1, 1), (3, 0), (0, 2), (2, 5)):
         g = inverse_product_grid([(1, 2), (0, 1)], bounds)
-        assert type(g) is list and len(g) == bounds[0] + 1
-        for row in g:
-            assert type(row) is list and len(row) == bounds[1] + 1
-            assert {type(c) for c in row} == {int}
+        assert type(g) is list and len(g) == bounds[1] + 1
+        for col in g:
+            assert type(col) is list and len(col) == bounds[0] + 1
+            assert {type(c) for c in col} == {int}
         assert g[0][0] == 1
 
 
 def test_inverse_product_grid_geometric():
     # 1/(1 - u v) has 1 exactly on the diagonal
     g = inverse_product_grid([(1, 1)], (4, 4))
-    assert g == [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+    assert g == [[1 if i == j else 0 for i in range(5)] for j in range(5)]
 
 
 def test_inverse_product_grid_counts_pairs():
     # 1/((1-u)(1-u^2)): coefficient of u^4 counts {1,2}-multisets: 4 = 1+1+1+1,
     # 1+1+2, 2+2
     g = inverse_product_grid([(1, 0), (2, 0)], (4, 0))
-    assert g[4][0] == 3
+    assert g[0][4] == 3
 
 
 def test_inverse_product_grid_rejects_bad_steps():
@@ -89,11 +89,15 @@ lattice_steps = st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda s:
 @example([(1, 0), (1, 0)], 5, 0)
 @example([(7, 7)], 3, 3)
 @example([(2, 1), (0, 3), (1, 0), (1, 1)], 6, 6)
+# (a, 0) steps after (a, b >= 1) steps, and an (a, 0) step past the window
+@example([(2, 1), (3, 0)], 6, 3)
+@example([(9, 0), (1, 1)], 4, 4)
+@example([(1, 2), (0, 1), (2, 0), (5, 0)], 6, 5)
 def test_every_grid_cell_matches_brute_force(steps, bu, bv):
     grid = inverse_product_grid(steps, (bu, bv))
     assert grid == [
-        [brute_regula(LinearSystem2(tuple(steps), (i, j))) for j in range(bv + 1)]
-        for i in range(bu + 1)
+        [brute_regula(LinearSystem2(tuple(steps), (i, j))) for i in range(bu + 1)]
+        for j in range(bv + 1)
     ]
     # positive mode reads a cell of the grid for the shifted targets
     pos = LinearSystem2(tuple(steps), (bu, bv), "positive")
