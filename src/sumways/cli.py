@@ -53,22 +53,13 @@ from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
 
 
 def parse_die_spec(spec: str) -> MarkedDie:
-    """Die spec: either lo..hi (consecutive marks) or a comma list."""
+    """Die spec: either lo..hi (consecutive marks, as a range) or a comma list."""
     spec = spec.strip()
-    if ".." in spec:
-        lo_s, _, hi_s = spec.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ValueError("bad die spec %r" % spec) from None
-        if lo > hi:
-            raise ValueError("bad die spec %r: empty range" % spec)
-        marks = tuple(range(lo, hi + 1))
-    else:
-        try:
-            marks = tuple(int(part) for part in spec.split(","))
-        except ValueError:
-            raise ValueError("bad die spec %r" % spec) from None
+    lo, dots, hi = spec.partition("..")
+    try:
+        marks = range(int(lo), int(hi) + 1) if dots else tuple(map(int, spec.split(",")))
+    except ValueError:
+        raise ValueError("bad die spec %r" % spec) from None
     try:
         return MarkedDie(marks)
     except ValueError as exc:
@@ -142,8 +133,9 @@ def cmd_count(args) -> int:
         print("error: engines disagree: %s" % counts, file=sys.stderr)
         status = 3
     if args.oracle:
-        # the pool has m^n outcomes: refuse before building its faces
-        check_budget(q.m ** q.n, args.oracle_budget, "dice")
+        # the pool has m^n outcomes: refuse before building n dice and
+        # multiplying out m^n, which the budget may already rule out
+        check_budget(q.m, args.oracle_budget, "dice", q.n)
         pool = consecutive_pool((q.m,) * q.n)
         reference = brute_dice(pool, q.N, budget=args.oracle_budget)
         if any(c != reference for c in counts.values()):

@@ -1,9 +1,10 @@
 """Counting sums for a pool of unlike dice.
 
 Each die carries its own marks (any nonnegative integers, duplicates
-allowed; a duplicated mark counts twice). The number of ordered outcomes
-summing to N is the coefficient of x^N in the product of the dice
-polynomials sum of x^mark.
+allowed; a duplicated mark counts twice); a die written lo..hi keeps the
+``range``, which is checked and read by its two ends, never walked. The
+number of ordered outcomes summing to N is the coefficient of x^N in the
+product of the dice polynomials sum of x^mark.
 
 Two engines:
 
@@ -22,23 +23,27 @@ Two engines:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import sub
 
-from .homogeneous import binomial
-from .series import Count, marks_product
+from .series import Count, mark_ends, marks_product
 
 
 @dataclass(frozen=True)
 class MarkedDie:
     """One die: the multiset of marks on its faces."""
 
-    marks: tuple[int, ...]
+    marks: tuple[int, ...] | range
 
     def __post_init__(self) -> None:
-        if not self.marks:
+        try:
+            faces = len(self.marks)
+        except OverflowError:
+            raise ValueError("a die has too many faces to count") from None
+        if not faces:
             raise ValueError("a die needs at least one face")
-        for v in self.marks:
+        for v in mark_ends(self.marks):
             if not isinstance(v, int) or v < 0:
                 raise ValueError("marks must be nonnegative ints")
 
@@ -61,7 +66,12 @@ class DicePool:
 
 def consecutive_pool(face_counts: tuple[int, ...]) -> DicePool:
     """Pool of dice marked 1..m_i for the given face counts."""
-    return DicePool(tuple(MarkedDie(tuple(range(1, m + 1))) for m in face_counts))
+    return DicePool(tuple(MarkedDie(range(1, m + 1)) for m in face_counts))
+
+
+def _top(pool: DicePool) -> int:
+    """The largest sum the pool can throw."""
+    return sum(max(mark_ends(die.marks)) for die in pool.dice)
 
 
 def hetero_count_product(pool: DicePool, N: int) -> Count:
@@ -72,7 +82,7 @@ def hetero_count_product(pool: DicePool, N: int) -> Count:
     """
     if N < 0:
         raise ValueError("target sum must be nonnegative")
-    if N > sum(max(die.marks) for die in pool.dice):
+    if N > _top(pool):
         return 0
     return marks_product([die.marks for die in pool.dice], N)[N]
 
@@ -83,8 +93,7 @@ def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
     The counts add up to the number of outcomes (the product of the face
     counts).
     """
-    top = sum(max(die.marks) for die in pool.dice)
-    counts = marks_product([die.marks for die in pool.dice], top)
+    counts = marks_product([die.marks for die in pool.dice], _top(pool))
     return [(e, c) for e, c in enumerate(counts) if c]
 
 
@@ -115,7 +124,8 @@ def hetero_count_closed_form(face_counts: tuple[int, ...], N: int) -> Count:
     The generating function is x^k * prod (1 - x^(m_i)) / (1 - x)^k for k
     dice. Each merged numerator term c * x^e, shifted to exponent e + k,
     contributes c * C(N - e - k + k - 1, k - 1) when e + k <= N, so the
-    numerator is expanded up to x^(N - k) only; below k dice no term does.
+    numerator is expanded up to x^(N - k) only, where both arguments of
+    the binomial are in range; below k dice no term does.
     """
     if N < 0:
         raise ValueError("target sum must be nonnegative")
@@ -123,4 +133,4 @@ def hetero_count_closed_form(face_counts: tuple[int, ...], N: int) -> Count:
     if k < 1:
         raise ValueError("need at least one die")
     terms = _merged_numerator(face_counts, N - k)
-    return sum(c * binomial(N - e - 1, k - 1) for e, c in terms.items())
+    return sum(c * math.comb(N - e - 1, k - 1) for e, c in terms.items())

@@ -23,12 +23,23 @@ class BudgetExceededError(RuntimeError):
     """The outcome space is larger than the oracle is willing to walk."""
 
 
-def check_budget(space: int, budget: int, what: str) -> None:
-    """Refuse an outcome space larger than the budget, before any walk."""
-    if space > budget:
-        raise BudgetExceededError(
-            "%s outcome space %d exceeds budget %d" % (what, space, budget)
-        )
+def check_budget(base: int, budget: int, what: str, power: int = 1) -> None:
+    """Refuse an outcome space of base^power larger than the budget, before
+    any walk. A space past 332 bits (about 100 digits) is named by its
+    digit count; once power * floor(log2(base)) reaches both 332 and the
+    budget's bit length, the space exceeds the budget and is not computed."""
+    if power * (base.bit_length() - 1) < max(budget.bit_length(), 332):
+        space = base**power
+        if space <= budget:
+            return
+        if space.bit_length() <= 332:
+            raise BudgetExceededError(
+                "%s outcome space %d exceeds budget %d" % (what, space, budget)
+            )
+    raise BudgetExceededError(
+        "%s outcome space of about %d digits exceeds budget %d"
+        % (what, power * math.log10(base) + 1, budget)
+    )
 
 
 def brute_dice(pool: DicePool, N: int, budget: int = DEFAULT_BUDGET) -> Count:
@@ -47,7 +58,7 @@ def brute_partitions(
         raise ValueError("k and N must be nonnegative")
     vals = parts.parts
     if ordered:
-        check_budget(len(vals) ** k, budget, "ordered parts")
+        check_budget(len(vals), budget, "ordered parts", k)
         return sum(1 for t in product(vals, repeat=k) if sum(t) == N)
     check_budget(math.comb(len(vals) + k - 1, k), budget, "unordered parts")
     return sum(1 for t in combinations_with_replacement(vals, k) if sum(t) == N)

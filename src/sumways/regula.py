@@ -47,24 +47,15 @@ class LinearSystem2:
             raise ValueError("mode must be 'nonnegative' or 'positive'")
 
 
-def _shifted_targets(sys: LinearSystem2) -> tuple[int, int] | None:
-    """Targets after folding positive mode away; None if plainly infeasible."""
+def rv_count_solutions(sys: LinearSystem2) -> Count:
+    """Number of solutions in the system's domain. Infeasible is 0, never
+    an exception."""
     n, v = sys.targets
     if sys.mode == "positive":
         n -= sum(a for a, _ in sys.generators)
         v -= sum(b for _, b in sys.generators)
         if n < 0 or v < 0:
-            return None
-    return n, v
-
-
-def rv_count_solutions(sys: LinearSystem2) -> Count:
-    """Number of solutions in the system's domain. Infeasible is 0, never
-    an exception."""
-    shifted = _shifted_targets(sys)
-    if shifted is None:
-        return 0
-    n, v = shifted
+            return 0
     return inverse_product_grid(sys.generators, (n, v))[v][n]
 
 

@@ -5,8 +5,10 @@ nonnegative marks, are ``marks_product``: one packed accumulator, a big
 integer with one coefficient per fixed-width slot, starts at 1 and takes
 every die as shifted adds. Equal dice are one shape, whose runs of marks
 are found once and whose copies are applied in a row, shapes with the
-fewest faces first. Like dice, unlike dice and powers of the polygonal
-series are all such products, truncated at a target.
+fewest faces first. A die lo..hi stays the ``range`` it was written as,
+and its one run is read from the range's ends. Like dice, unlike dice and
+powers of the polygonal series are all such products, truncated at a
+target.
 
 The two-variable lattice kernel, ``inverse_product_grid``, returns the
 columns its walk built, one list over the first variable for each power of
@@ -26,13 +28,17 @@ from typing import Sequence
 Count = int
 
 
-def _runs(marks: tuple[int, ...]) -> list[list[int]]:
+def mark_ends(marks: tuple[int, ...] | range) -> tuple[int, ...] | range:
+    """The marks, or only a range's two ends: either holds the least and greatest."""
+    return (marks[0], marks[-1]) if isinstance(marks, range) else marks
+
+
+def _runs(marks: tuple[int, ...] | range) -> list[list[int]]:
     """[lo, length, multiplicity] for each maximal run of consecutive marks
-    that share one multiplicity, ascending."""
-    lo, n = min(marks), len(marks)
-    if max(marks) - lo + 1 == n == len(set(marks)):
-        # every mark lo..hi once, as on a plain die: one run
-        return [[lo, n, 1]]
+    that share one multiplicity, ascending. A range of step 1 is one run,
+    read from its ends."""
+    if isinstance(marks, range) and marks.step == 1:
+        return [[marks.start, len(marks), 1]]
     counts = Counter(marks)
     runs: list[list[int]] = []
     for v in sorted(counts):
@@ -99,8 +105,9 @@ def marks_product(factors: Sequence[Sequence[int]], bound: int) -> list[int]:
     accumulator, a big integer with one coefficient per slot. The slot
     width is fixed once, from the product of the factors' lengths: every
     coefficient of every partial product counts some of those outcomes, so
-    none exceeds it and no slot carries into the next. Factors with equal
-    marks are one die shape: its runs of consecutive marks of equal
+    none exceeds it and no slot carries into the next. A ``range`` factor
+    is kept as it is and any other is taken as the tuple of its marks;
+    equal ones are one die shape: its runs of consecutive marks of equal
     multiplicity are found once, and all its copies are applied in a row,
     the shapes with the fewest faces first (each die costs in proportion
     to the accumulator it meets, which every face widens). The accumulator
@@ -111,8 +118,9 @@ def marks_product(factors: Sequence[Sequence[int]], bound: int) -> list[int]:
     slots up to what is left.
     """
     outcomes = 1
-    shapes: dict[tuple[int, ...], int] = {}
-    for marks in map(tuple, factors):
+    shapes: dict[tuple[int, ...] | range, int] = {}
+    for marks in factors:
+        marks = marks if isinstance(marks, range) else tuple(marks)
         outcomes *= len(marks)
         shapes[marks] = shapes.get(marks, 0) + 1
     width = (outcomes.bit_length() + 7) // 8

@@ -97,6 +97,18 @@ def test_count_oracle_refuses_before_building_the_pool(run_cli):
     assert peak < 64 * 1024, peak
 
 
+def test_count_oracle_refuses_a_huge_space_in_one_short_line(run_cli):
+    # 6^(10^6) is neither computed nor printed in full
+    code, out, err = run_cli(
+        "count", "--dice", "1000000", "--faces", "6", "--sum", "5",
+        "--engine", "lambda", "--oracle",
+    )
+    assert (code, out) == (2, "0\n")
+    assert err == (
+        "error: dice outcome space of about 778152 digits exceeds budget 10000000\n"
+    )
+
+
 def test_count_engine_disagreement_exits_3(run_cli, monkeypatch):
     monkeypatch.setitem(cli.ENGINES, "closed", lambda q: 999)
     code, out, err = run_cli(
@@ -207,6 +219,21 @@ def test_hetero_sum_and_specs(run_cli):
     assert code == 0 and out == "2\n"
 
 
+def test_hetero_range_die_is_not_expanded(run_cli):
+    # a die written lo..hi stays a range: a tiny sum on 10^8 faces builds none
+    run_cli("hetero", "--die", "1..6", "--sum", "3")  # builds the parser
+    tracemalloc.start()
+    try:
+        huge = run_cli("hetero", "--die", "0..100000000", "--sum", "3")
+        wide = run_cli("hetero", "--die", "1..1000000000000", "--die", "1..6", "--sum", "5")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert huge == (0, "1\n", "")
+    assert wide == (0, "4\n", "")
+    assert peak < 64 * 1024, peak
+
+
 def test_hetero_json_and_csv(run_cli):
     code, out, _ = run_cli(
         "hetero", "--die", "2,4", "--format", "json"
@@ -231,6 +258,8 @@ def test_hetero_usage_errors(run_cli):
     assert code == 2
     code, _, _ = run_cli("hetero", "--die", "-3", "--sum", "3")
     assert code == 2
+    code, out, err = run_cli("hetero", "--die", "0..10000000000000000000", "--sum", "3")
+    assert (code, out) == (2, "") and "too many faces" in err
 
 
 def test_polygonal_check(run_cli):

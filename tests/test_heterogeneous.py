@@ -28,6 +28,16 @@ def test_die_validation():
             MarkedDie(marks)
     # bool is an int subclass, and an int subclass is an int
     assert MarkedDie((True, 2)).marks == (True, 2)
+    # a range is checked by its two ends, whichever way it steps
+    assert MarkedDie(range(0, 10**18)).marks == range(0, 10**18)
+    for marks in (range(-1, 10**18), range(10**18, -2, -1)):
+        with pytest.raises(ValueError, match="marks must be nonnegative ints"):
+            MarkedDie(marks)
+    with pytest.raises(ValueError, match="at least one face"):
+        MarkedDie(range(3, 3))
+    # a range too long for len() is refused, not left to overflow later
+    with pytest.raises(ValueError, match="too many faces"):
+        MarkedDie(range(0, 10**19 + 1))
     with pytest.raises(ValueError):
         DicePool(())
 
@@ -191,3 +201,23 @@ def test_product_agrees_with_oracle_on_odd_pools():
         top = sum(max(d.marks) for d in dice)
         for N in range(0, top + 2):
             assert hetero_count_product(pool, N) == brute_dice(pool, N), (dice, N)
+
+
+die_ranges = st.builds(
+    range, st.integers(0, 12), st.integers(0, 12), st.integers(-3, 3).filter(bool)
+).filter(len)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(die_ranges, min_size=1, max_size=3), st.lists(st.integers(0, 40), max_size=4))
+@example([range(1, 7), range(1, 9)], [9, 14])
+@example([range(0, 12, 3), range(9, 0, -2), range(2, 5)], [0, 7, 13])
+def test_range_die_counts_as_its_marks(ranges, sums):
+    # a die kept as a range, of any step, counts as the tuple of its marks
+    as_range = DicePool(tuple(MarkedDie(r) for r in ranges))
+    as_tuple = DicePool(tuple(MarkedDie(tuple(r)) for r in ranges))
+    assert hetero_distribution(as_range) == hetero_distribution(as_tuple)
+    for N in sums:
+        want = brute_dice(as_tuple, N)
+        assert brute_dice(as_range, N) == want
+        assert hetero_count_product(as_range, N) == hetero_count_product(as_tuple, N) == want

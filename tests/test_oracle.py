@@ -25,6 +25,9 @@ def test_brute_dice_budget():
     with pytest.raises(BudgetExceededError):
         brute_dice(pool, 9, budget=100)
     assert brute_dice(pool, 9, budget=216) == 25
+    # past about 100 digits a space is named by its digit count
+    with pytest.raises(BudgetExceededError, match="^dice outcome space of about 156 digits "):
+        brute_dice(consecutive_pool((6,) * 200), 9)
 
 
 def test_brute_partitions_ordered():
@@ -48,6 +51,9 @@ def test_brute_partitions_budget():
     parts = PartSet(tuple(range(30)))
     with pytest.raises(BudgetExceededError):
         brute_partitions(parts, 6, 10, ordered=True, budget=1000)
+    # 30^(10^6) is refused on its bit length alone, never computed
+    with pytest.raises(BudgetExceededError, match="space of about 1477122 digits exceeds"):
+        brute_partitions(parts, 10**6, 10, ordered=True, budget=1000)
     with pytest.raises(ValueError):
         brute_partitions(parts, -1, 3, ordered=True)
 
