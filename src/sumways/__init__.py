@@ -25,7 +25,6 @@ from .heterogeneous import (
 from .homogeneous import (
     DivisibilityError,
     HomoQuery,
-    binomial,
     count_add_die,
     count_closed_form,
     count_lambda_recurrence,
@@ -64,7 +63,6 @@ __all__ = [
     "LinearSystem2",
     "MarkedDie",
     "PartSet",
-    "binomial",
     "brute_dice",
     "brute_partitions",
     "brute_regula",

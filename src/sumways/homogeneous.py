@@ -14,12 +14,14 @@ compute it by genuinely different routes and exist to check one another:
     ``count_add_die`` answers a point query from the last column.
 
 ``count_lambda_recurrence``
-    walk the offset lam = N - n upward through a three-term recurrence
-    whose every step divides exactly; intermediates are signed. A step
-    reads only the last m+1 values, so the walk keeps a window of them:
-    memory is O(m * bits of the count), not O(N * bits). The walk is one
-    flat loop; ``lambda_recurrence_trace`` runs the same loop and records
-    each step, the count records none.
+    walk the offset lam = N - n through a three-term recurrence whose
+    every step divides exactly; intermediates are signed. A step reads
+    only the last m+1 values, so the walk keeps a window of them: memory
+    is O(m * bits of the count), not O(N * bits). Solved for its oldest
+    term, the same relation steps the walk back down, so a walk parked at
+    one sum reaches the next sum of its shape in |N - N'| steps.
+    ``lambda_recurrence_trace`` walks up from lam = 0 by the same forward
+    step and records each step; the count records none.
 
 ``count_closed_form``
     alternating binomial sum: inclusion-exclusion over how many dice are
@@ -46,14 +48,23 @@ a small N. Each engine keeps its own memo of at most SHAPE_MEMO_SIZE
 entries, the least recently used dropped first, so the two routes stay
 independent. An entry holds window+1 exact counts of at most n*log2(m)
 bits each: about 77 KB for (190, 6) at window 1024, so each memo, full of
-such shapes, holds about 2.5 MB. The λ recurrence and the closed form keep
-no memo: they are the cheap, memo-free check the other two are compared
-against.
+such shapes, holds about 2.5 MB.
+
+The λ recurrence parks its walk instead of a table: at most
+SHAPE_MEMO_SIZE walks, one per shape (n, m), the least recently parked
+dropped first. A walk is its offset lam and a window of the last
+min(m, lam'+1)+1 counts up to lam, lam' the farthest offset it has
+reached (zeros stand in below offset 0), so 32 parked walks of (190, 6)
+shapes hold 32 * 7 counts. A walk is taken out of the park while it moves and
+put back only once the whole move has succeeded, so a step that fails
+leaves no half-moved walk behind. The closed form keeps no memo: it is the
+one memo-free check the other three are compared against.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,16 +97,8 @@ class HomoQuery:
             raise ValueError("target sum must be nonnegative")
 
 
-def binomial(a: int, b: int) -> int:
-    """C(a, b) with the usual convention: 0 when b < 0 or b > a."""
-    if a < 0:
-        raise ValueError("upper index must be nonnegative")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
-# Entries each expanding engine keeps, one per (n, m, window).
+# Entries each expanding engine keeps, one per (n, m, window), and λ walks
+# parked, one per (n, m).
 SHAPE_MEMO_SIZE = 32
 
 
@@ -168,34 +171,79 @@ class LambdaStep(NamedTuple):
     value: int
 
 
-def _lambda_walk(n: int, m: int, N: int, steps: list[LambdaStep] | None = None) -> int:
-    """Walk lam = 1..N - n and return the value at lam = N - n (1 at lam = 0).
+# Parked λ walks, (n, m) -> (lam, window), the least recently parked first.
+_parked: dict[tuple[int, int], tuple[int, deque[int]]] = {}
+_parked_lock = threading.Lock()
 
-    A step reads the values at lam-1, lam-m and lam-m-1 only, so a window
-    keeps the last k+1 values, k = min(m, N-n+1), seeded with k zeros for
-    the offsets below 0 and the 1 at lam = 0. A walk shorter than m never
-    reaches lam >= m, so there the zeros stand in for the values at lam-m
-    and lam-m-1, and a huge m allocates no huge window. Each step is
-    appended to ``steps`` as a LambdaStep when a list is passed; with none,
-    the walk builds nothing per step but the window's new value.
+
+def _seed_walk() -> tuple[int, deque[int]]:
+    """The walk at lam = 0, where the count is 1."""
+    return 0, deque([1], maxlen=1)
+
+
+def _lambda_walk(
+    n: int, m: int, walk: tuple[int, deque[int]], to: int,
+    steps: list[LambdaStep] | None = None,
+) -> tuple[int, deque[int]]:
+    """Move ``walk`` to the offset ``to`` and return it; its window's last
+    value is the count at ``to``.
+
+    A walk is its offset and a deque, kept full, of the last k+1 values. A
+    step reads the values at lam-1, lam-m and lam-m-1 only, so k = m would
+    do; a walk keeps k = min(m, lam'+1) instead, lam' the farthest offset
+    it has reached. Below lam' = m-1 its oldest values are zeros below
+    offset 0, which stand in for the values at lam-m and lam-m-1, so a
+    huge m allocates no huge window.
+
+    A forward move first pads the window with zeros to k = min(m, to+1),
+    then steps up as the recurrence reads, dividing by lam. A backward
+    move solves the same relation for its oldest term,
+
+    v[lam-m-1] = (lam*v[lam] - (n-1+lam)*v[lam-1] + (m*n+m-lam)*v[lam-m])
+                 / (m*n-n+m+1-lam),
+
+    whose divisor is at least m+1 inside the support, and pushes it in at
+    the old end; in a window shorter than m+1 that value is a zero below
+    offset 0, pushed in without a step. A remainder raises
+    DivisibilityError. The window is changed in place, so a move that
+    raises leaves it half-moved. Each forward step is appended to
+    ``steps`` as a LambdaStep when a list is passed; with none, the walk
+    builds nothing per step but the window's new value.
     """
-    k = min(m, N - n + 1)
-    window = deque([0] * k + [1], maxlen=k + 1)
+    at, window = walk
     a, b, c = n - 1, m * n + m, m * n - n + m + 1
-    value = 1
-    for lam in range(1, N - n + 1):
-        # window[0], window[1] and value hold the values at lam-m-1, lam-m
-        # and lam-1
-        numerator = (a + lam) * value - (b - lam) * window[1] + (c - lam) * window[0]
-        value, r = divmod(numerator, lam)
-        if r:
-            raise DivisibilityError(
-                "step lam=%d for n=%d m=%d left remainder %d" % (lam, n, m, r)
-            )
-        window.append(value)
-        if steps is not None:
-            steps.append(LambdaStep(lam, numerator, value))
-    return value
+    if to > at:
+        k = min(m, to + 1)
+        if len(window) <= k:
+            window = deque(chain(repeat(0, k + 1 - len(window)), window), maxlen=k + 1)
+        value = window[-1]
+        for lam in range(at + 1, to + 1):
+            # window[0], window[1] and value hold the values at lam-m-1,
+            # lam-m and lam-1
+            numerator = (a + lam) * value - (b - lam) * window[1] + (c - lam) * window[0]
+            value, r = divmod(numerator, lam)
+            if r:
+                raise DivisibilityError(
+                    "step lam=%d for n=%d m=%d left remainder %d" % (lam, n, m, r)
+                )
+            window.append(value)
+            if steps is not None:
+                steps.append(LambdaStep(lam, numerator, value))
+    elif len(window) == m + 1:
+        for lam in range(at, to, -1):
+            # window[0], window[-2] and window[-1] hold the values at
+            # lam-m, lam-1 and lam
+            numerator = lam * window[-1] - (a + lam) * window[-2] + (b - lam) * window[0]
+            older, r = divmod(numerator, c - lam)
+            if r:
+                raise DivisibilityError(
+                    "step back from lam=%d for n=%d m=%d left remainder %d"
+                    % (lam, n, m, r)
+                )
+            window.appendleft(older)
+    else:
+        window.extendleft(repeat(0, at - to))
+    return to, window
 
 
 def count_lambda_recurrence(q: HomoQuery) -> Count:
@@ -206,30 +254,43 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
                      + (m*n-n+m+1-lam) * (n+lam-m-1)(n)
 
     seeded with (n)(n) = 1 and zeros below; a sum outside the support n..n*m
-    is 0 without a step. Intermediate products are signed;
-    every division is exact (a remainder raises DivisibilityError, since it
-    would mean the values are not the counts this recurrence characterizes).
-    A step reads only the last m+1 values, so only those are kept: memory
-    is O(m * bits of the count), however long the walk. The walk is one
-    flat loop that records nothing per step; ``lambda_recurrence_trace``
-    runs the same loop and keeps its steps.
+    is 0 without a step. Intermediate products are signed; every division
+    is exact (a remainder raises DivisibilityError, since it would mean the
+    values are not the counts this recurrence characterizes). A step reads
+    only the last m+1 values, so only those are kept: memory is
+    O(m * bits of the count), however long the walk.
+
+    The walk is parked per shape (n, m) between calls, as the module
+    docstring says: a shape seen before moves its walk from the last sum
+    to this one, up or down, in |N - N'| steps; a new shape, or one whose
+    walk was dropped, walks up from lam = 0. The walk records nothing per
+    step; ``lambda_recurrence_trace`` walks afresh and keeps its steps.
     """
     if q.N < q.n or q.N > q.n * q.m:
         return 0
-    value = _lambda_walk(q.n, q.m, q.N)
+    shape = (q.n, q.m)
+    with _parked_lock:
+        walk = _parked.pop(shape, None)
+    walk = _lambda_walk(q.n, q.m, walk or _seed_walk(), q.N - q.n)
+    value = walk[1][-1]
     if value < 0:
         raise DivisibilityError(
             "recurrence ended at negative count %d for n=%d m=%d N=%d"
             % (value, q.n, q.m, q.N)
         )
+    with _parked_lock:
+        _parked[shape] = walk
+        if len(_parked) > SHAPE_MEMO_SIZE:
+            del _parked[next(iter(_parked))]
     return value
 
 
 def lambda_recurrence_trace(q: HomoQuery) -> list[LambdaStep]:
-    """All recurrence steps from lam = 1 up to lam = N - n, in order."""
+    """All recurrence steps from lam = 1 up to lam = N - n, in order, on a
+    fresh walk from lam = 0."""
     steps: list[LambdaStep] = []
     if q.N >= q.n:
-        _lambda_walk(q.n, q.m, q.N, steps)
+        _lambda_walk(q.n, q.m, _seed_walk(), q.N - q.n, steps)
     return steps
 
 

@@ -1,6 +1,14 @@
 import pytest
 
-from sumways import cli
+from sumways import cli, homogeneous
+
+
+def clear_memos():
+    """Empty the per-shape memos of the like-dice engines: the ``poly`` and
+    ``add-die`` expansions and the parked λ walks."""
+    homogeneous._die_power.cache_clear()
+    homogeneous._last_add_die_column.cache_clear()
+    homogeneous._parked.clear()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ captured output); a failing criterion fails its test, so the pytest report
 always carries one pass/fail line per criterion. All comparisons are exact.
 """
 
+import math
 import random
 import time
 
@@ -17,7 +18,6 @@ from sumways.heterogeneous import (
 from sumways.homogeneous import (
     ENGINES,
     HomoQuery,
-    binomial,
     count_table_add_die,
     lambda_recurrence_trace,
 )
@@ -129,7 +129,7 @@ def test_criterion_5_structural_invariants():
             assert sum(col) == m**n
             # stars and bars before the first wraparound
             for lam in range(0, m):
-                assert col[n + lam] == binomial(n + lam - 1, lam), (m, n, lam)
+                assert col[n + lam] == math.comb(n + lam - 1, lam), (m, n, lam)
     report(5, "support, endpoints, symmetry, column sums m^n and the "
               "pre-wraparound binomial regime hold for n<=8, m in 2..8")
 

@@ -11,7 +11,8 @@ import contextlib
 import gc
 import io
 
-from sumways import cli, homogeneous
+from conftest import clear_memos
+from sumways import cli
 from sumways.homogeneous import ENGINES, HomoQuery
 from sumways.oracle import brute_regula
 from sumways.regula import LinearSystem2, rv_enumerate_solutions
@@ -43,8 +44,7 @@ def test_engines_and_enumeration_leave_no_cyclic_garbage():
     systems = [(LinearSystem2(((1, 3), (1, 1)), (30, 50)), 10),
                (LinearSystem2(((1, 3), (1, 1), (2, 1)), (20, 30), "positive"), 100),
                (LinearSystem2(((1, 1), (1, 1)), (6, 6)), 3)]
-    homogeneous._die_power.cache_clear()
-    homogeneous._last_add_die_column.cache_clear()
+    clear_memos()
     gc.collect()
     gc.disable()
     try:
@@ -63,8 +63,7 @@ def test_engines_and_enumeration_leave_no_cyclic_garbage():
 def test_cli_output_leaves_no_cyclic_garbage():
     argvs = [line.split() for line in CLI_CALLS]
     cli.build_parser()  # the shared parser is built once, outside the check
-    homogeneous._die_power.cache_clear()
-    homogeneous._last_add_die_column.cache_clear()
+    clear_memos()
     gc.collect()
     gc.disable()
     try:

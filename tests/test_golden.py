@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from sumways.golden import (
     load_golden,
     verify_against_paper,
 )
-from sumways.homogeneous import binomial, count_table_add_die
+from sumways.homogeneous import count_table_add_die
 
 
 def test_ids_and_unknown():
@@ -94,7 +96,7 @@ def test_corrected_table_satisfies_structure():
     for n in range(1, 9):
         for lam in range(0, 6):
             if n + lam <= 36:
-                assert value[(n + lam, n)] == binomial(n + lam - 1, lam)
+                assert value[(n + lam, n)] == math.comb(n + lam - 1, lam)
 
 
 TRUE_TABLE1 = count_table_add_die(6, 8, 36)

@@ -1,7 +1,9 @@
+import itertools
 import math
 import tracemalloc
 
 import pytest
+from conftest import clear_memos
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +12,6 @@ from sumways.heterogeneous import consecutive_pool
 from sumways.homogeneous import (
     ENGINES,
     HomoQuery,
-    binomial,
     count_add_die,
     count_closed_form,
     count_lambda_recurrence,
@@ -34,17 +35,6 @@ def test_query_validation():
         HomoQuery(2, 0, 3)
     with pytest.raises(ValueError):
         HomoQuery(2, 6, -1)
-
-
-def test_binomial():
-    assert binomial(5, 2) == 10
-    assert binomial(5, 0) == 1
-    assert binomial(5, 5) == 1
-    assert binomial(0, 0) == 1
-    assert binomial(5, -1) == 0
-    assert binomial(5, 6) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_count_poly_known_values():
@@ -92,8 +82,8 @@ def test_lambda_known_values():
 
 def test_lambda_negative_count_raises(monkeypatch):
     # a recurrence that ends below zero must raise even under python -O
-    def bad_walk(n, m, N, steps=None):
-        return -1
+    def bad_walk(n, m, walk, to, steps=None):
+        return to, [-1]
 
     monkeypatch.setattr(homogeneous, "_lambda_walk", bad_walk)
     with pytest.raises(homogeneous.DivisibilityError, match="negative count -1"):
@@ -101,12 +91,13 @@ def test_lambda_negative_count_raises(monkeypatch):
 
 
 def test_lambda_past_support_takes_no_step(monkeypatch):
-    def no_walk(n, m, N, steps=None):
+    def no_walk(n, m, walk, to, steps=None):
         raise AssertionError("walked the recurrence past the support")
 
     monkeypatch.setattr(homogeneous, "_lambda_walk", no_walk)
     assert count_lambda_recurrence(HomoQuery(2, 6, 10**6)) == 0
     assert count_lambda_recurrence(HomoQuery(2, 6, 13)) == 0
+    assert count_lambda_recurrence(HomoQuery(2, 6, 1)) == 0
 
 
 def test_lambda_count_builds_no_steps(monkeypatch):
@@ -143,7 +134,7 @@ def test_lambda_every_step_divides():
 
 
 def test_closed_form_known_values():
-    assert count_closed_form(HomoQuery(6, 6, 10)) == binomial(9, 4) == 126
+    assert count_closed_form(HomoQuery(6, 6, 10)) == math.comb(9, 4) == 126
     assert count_closed_form(HomoQuery(6, 6, 25)) == 2856
     assert count_closed_form(HomoQuery(3, 6, 12)) == 25
     assert count_closed_form(HomoQuery(2, 6, 1)) == 0
@@ -229,7 +220,7 @@ def test_prefix_regime_is_compositions():
     for n in range(1, 7):
         for m in (3, 6, 8):
             for lam in range(0, m):
-                assert count_closed_form(HomoQuery(n, m, n + lam)) == binomial(
+                assert count_closed_form(HomoQuery(n, m, n + lam)) == math.comb(
                     n + lam - 1, lam
                 )
 
@@ -350,28 +341,33 @@ def test_truncated_table_cells_match_closed_form(m, n_max, N_max):
             assert table[N][n - 1] == count_closed_form(HomoQuery(n, m, N)), (N, n)
 
 
-# Property tests of the per-shape memo of the two expanding engines. Each
-# example starts from empty memos, so a failure replays the same way.
-MEMOS = (homogeneous._die_power, homogeneous._last_add_die_column)
+# Property tests of the per-shape memos: the expansions of the two
+# expanding engines and the parked λ walks. Each example starts from empty
+# memos, so a failure replays the same way.
+EXPANSIONS = (homogeneous._die_power, homogeneous._last_add_die_column)
 
 
-def clear_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
+def parked(q):
+    """The walk parked for q's shape as (lam, its window's values), or
+    None."""
+    walk = homogeneous._parked.get((q.n, q.m))
+    return walk and (walk[0], list(walk[1]))
 
 
 @st.composite
 def query_sequences(draw):
     """Queries over a pool of up to SHAPE_MEMO_SIZE + 8 die shapes, each
     with any N from 0 to past the support, in any order: shapes repeat, N
-    grows and shrinks, and a long enough run evicts."""
-    shapes = draw(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 12)),
+    grows and shrinks, and a long enough run evicts. A shape of 10**12
+    faces takes sums up to 12 per die, far below its wraparound."""
+    faces = st.integers(1, 12) | st.just(10**12)
+    shapes = draw(st.lists(st.tuples(st.integers(1, 30), faces),
                            min_size=1, max_size=homogeneous.SHAPE_MEMO_SIZE + 8,
                            unique=True))
     queries = []
     for _ in range(draw(st.integers(1, 3 * len(shapes)))):
         n, m = draw(st.sampled_from(shapes))
-        queries.append(HomoQuery(n, m, draw(st.integers(0, n * m + 3))))
+        queries.append(HomoQuery(n, m, draw(st.integers(0, n * min(m, 12) + 3))))
     return queries
 
 
@@ -381,14 +377,31 @@ def query_sequences(draw):
           HomoQuery(6, 6, 37), HomoQuery(6, 6, 3), HomoQuery(6, 6, 25)])
 @example([HomoQuery(n, 3, 2 * n) for n in range(1, 45)]
          + [HomoQuery(n, 3, N) for n in (1, 2, 3) for N in (0, n, 2 * n, 3 * n, 3 * n + 1)])
+@example([HomoQuery(9, 4, 30), HomoQuery(9, 4, 12), HomoQuery(9, 4, 36),
+          HomoQuery(9, 4, 9), HomoQuery(9, 4, 37), HomoQuery(9, 4, 8),
+          HomoQuery(9, 4, 21)])
+@example([HomoQuery(3, 10**12, 9), HomoQuery(3, 10**12, 2), HomoQuery(3, 10**12, 4),
+          HomoQuery(3, 10**12, 39), HomoQuery(3, 10**12, 3)])
 def test_memoized_engines_match_closed_form_on_any_query_sequence(queries):
     clear_memos()
+    farthest = {}
     for q in queries:
         expected = count_closed_form(q)
         assert count_poly(q) == expected, q
         assert count_add_die(q) == expected, q
-    for memo in MEMOS:
+        before = parked(q)
+        assert count_lambda_recurrence(q) == expected, q
+        lam = q.N - q.n
+        if 0 <= lam <= (q.m - 1) * q.n:
+            farthest[q.n, q.m] = top = max(lam, farthest.get((q.n, q.m), 0))
+            at, window = parked(q)
+            assert (at, window[-1]) == (lam, expected), q
+            assert len(window) <= min(q.m, top + 1) + 1, q
+        else:  # outside the support the parked walk does not move
+            assert parked(q) == before, q
+    for memo in EXPANSIONS:
         assert memo.cache_info().currsize <= homogeneous.SHAPE_MEMO_SIZE
+    assert len(homogeneous._parked) <= homogeneous.SHAPE_MEMO_SIZE
 
 
 def test_memo_evicts_least_recent_shape_and_recomputes_it():
@@ -397,12 +410,12 @@ def test_memo_evicts_least_recent_shape_and_recomputes_it():
     shapes = [(n, 4) for n in range(1, size + 6)]
     for n, m in shapes:
         assert count_poly(HomoQuery(n, m, 2 * n)) == count_add_die(HomoQuery(n, m, 2 * n))
-    for memo in MEMOS:
+    for memo in EXPANSIONS:
         info = memo.cache_info()
         assert (info.currsize, info.misses, info.hits) == (size, len(shapes), 0)
     q = HomoQuery(1, 4, 2)  # the first shape, evicted long ago
     assert count_poly(q) == count_add_die(q) == count_closed_form(q) == 1
-    for memo in MEMOS:
+    for memo in EXPANSIONS:
         assert memo.cache_info().misses == len(shapes) + 1
 
 
@@ -412,12 +425,12 @@ def test_memo_entry_serves_every_sum_in_its_window():
     for N in range(512, 1024, 37):
         q = HomoQuery(n, m, N)
         assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
-    for memo in MEMOS:
+    for memo in EXPANSIONS:
         assert memo.cache_info().misses == 1
     for N in (1024, 1140, 1141, 5000):  # windows capped at the support n*m
         q = HomoQuery(n, m, N)
         assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
-    for memo in MEMOS:
+    for memo in EXPANSIONS:
         assert memo.cache_info().misses == 2
 
 
@@ -478,6 +491,7 @@ def test_lambda_memory_stays_within_a_window_of_m_values():
     n, m = 2000, 3
     q = HomoQuery(n, m, 2 * n)  # the middle of the support: n steps
     count_bytes = (count_closed_form(q).bit_length() + 7) // 8
+    clear_memos()
     tracemalloc.start()
     try:
         count = count_lambda_recurrence(q)
@@ -496,19 +510,24 @@ def test_lambda_memory_stays_within_a_window_of_m_values():
 
 def test_lambda_short_walk_with_many_faces_allocates_no_window_of_m():
     q = HomoQuery(2, 10**6, 5)
+    clear_memos()
     tracemalloc.start()
     try:
         count = count_lambda_recurrence(q)
         trace = lambda_recurrence_trace(q)
+        # a walk parked on 10**12 faces moves up and back down, its window
+        # a few values long
+        moved = [count_lambda_recurrence(HomoQuery(2, 10**12, N)) for N in (5, 40, 3, 7)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert count == 4 == trace[-1].value
+    assert moved == [4, 39, 2, 6]
+    assert len(homogeneous._parked[2, 10**12][1]) == 40
     assert peak < 64 * 1024  # a window of m zeros would take about 8 MB
     # no engine builds a die of m faces for a sum far below m
     for name, engine in ENGINES.items():
-        homogeneous._die_power.cache_clear()
-        homogeneous._last_add_die_column.cache_clear()
+        clear_memos()
         tracemalloc.start()
         try:
             count = engine(q)
@@ -517,3 +536,55 @@ def test_lambda_short_walk_with_many_faces_allocates_no_window_of_m():
             tracemalloc.stop()
         assert count == 4, name
         assert peak < 64 * 1024, name
+
+
+def test_lambda_trace_walks_afresh_past_a_parked_walk():
+    clear_memos()
+    q = HomoQuery(6, 6, 25)
+    fresh = lambda_recurrence_trace(q)
+    for N in (30, 25, 12, 36):
+        assert count_lambda_recurrence(HomoQuery(6, 6, N)) == count_closed_form(
+            HomoQuery(6, 6, N))
+        assert lambda_recurrence_trace(q) == fresh, N
+    assert parked(q)[0] == 30  # the trace neither took nor moved the walk
+
+
+def test_lambda_backward_move_crosses_a_full_window():
+    clear_memos()
+    n, m = 12, 5
+
+    def counts(lam_lo, lam_hi):
+        return [count_closed_form(HomoQuery(n, m, n + lam)) for lam in range(lam_lo, lam_hi + 1)]
+
+    assert count_lambda_recurrence(HomoQuery(n, m, 50)) == counts(38, 38)[0]
+    assert parked(HomoQuery(n, m, 50)) == (38, counts(38 - m, 38))
+    for lam in (28, 27, 2, 0):  # m + 5 steps, 1 step, then into the zeros below 0
+        q = HomoQuery(n, m, n + lam)
+        assert count_lambda_recurrence(q) == count_closed_form(q), lam
+        # each step back recomputed the oldest value, so the window is exact
+        assert parked(q) == (lam, [0] * (m - lam) + counts(max(lam - m, 0), lam)), lam
+    assert count_lambda_recurrence(HomoQuery(n, m, 50)) == counts(38, 38)[0]
+
+
+@pytest.mark.parametrize("N, fail_at", [(70, "step lam="), (40, "step back from lam=")])
+def test_lambda_remainder_parks_no_walk(monkeypatch, N, fail_at):
+    # the walk is parked at the other sum, then one step of the move to N,
+    # forward (70) or back (40), is made to leave a remainder
+    clear_memos()
+    shape = (20, 6)
+    start = HomoQuery(20, 6, 110 - N)
+    assert count_lambda_recurrence(start) == count_closed_form(start)
+    calls = itertools.count(1)
+
+    def leaving_a_remainder(a, b):
+        quotient, remainder = divmod(a, b)
+        return quotient, remainder + (next(calls) == 5)
+
+    q = HomoQuery(20, 6, N)
+    with monkeypatch.context() as patch:
+        patch.setattr(homogeneous, "divmod", leaving_a_remainder, raising=False)
+        with pytest.raises(homogeneous.DivisibilityError, match=fail_at):
+            count_lambda_recurrence(q)
+    assert shape not in homogeneous._parked
+    assert count_lambda_recurrence(q) == count_closed_form(q)
+    assert parked(q)[0] == N - 20

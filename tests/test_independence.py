@@ -1,8 +1,8 @@
 """The routes to one answer share no code, so each really checks the others.
 
 Each route runs under ``sys.setprofile`` with its inputs built beforehand
-and the expanding engines' memos cleared, and every function of the
-package it calls is recorded. Two routes for one question may share only
+and the like-dice engines' memos and parked λ walks cleared, and every
+function of the package it calls is recorded. Two routes for one question may share only
 the functions in ``SHARED``: the window both expanding engines expand to,
 and the polygonal numbers that the ordered and the unordered counts are
 built from. Functions are keyed by their code objects, which every
@@ -16,6 +16,7 @@ from functools import partial
 from itertools import combinations
 
 import pytest
+from conftest import clear_memos
 
 import sumways
 from sumways import homogeneous, polygonal
@@ -61,8 +62,7 @@ def label(code):
 
 def traced(route):
     """The route's answer and the package functions it called."""
-    homogeneous._die_power.cache_clear()
-    homogeneous._last_add_die_column.cache_clear()
+    clear_memos()
     called = set()
 
     def profile(frame, event, arg):
