@@ -48,7 +48,6 @@ from .polygonal import (
     polygonal_parts,
 )
 from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
-from .series import inverse_product_grid
 from .golden import GOLDEN_TABLE_IDS, load_golden, verify_against_paper
 
 __version__ = "0.1.0"
@@ -77,7 +76,6 @@ __all__ = [
     "hetero_count_closed_form",
     "hetero_count_product",
     "hetero_distribution",
-    "inverse_product_grid",
     "lambda_recurrence_trace",
     "load_golden",
     "ordered_representation_counts",

@@ -21,7 +21,8 @@ compute it by genuinely different routes and exist to check one another:
     term, the same relation steps the walk back down, so a walk parked at
     one sum reaches the next sum of its shape in |N - N'| steps.
     ``lambda_recurrence_trace`` walks up from lam = 0 by the same forward
-    step and records each step; the count records none.
+    step and records each step; the count records none. Neither steps for
+    a sum outside the support n..n*m.
 
 ``count_closed_form``
     alternating binomial sum: inclusion-exclusion over how many dice are
@@ -287,9 +288,10 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
 
 def lambda_recurrence_trace(q: HomoQuery) -> list[LambdaStep]:
     """All recurrence steps from lam = 1 up to lam = N - n, in order, on a
-    fresh walk from lam = 0."""
+    fresh walk from lam = 0. A sum outside the support n..n*m takes no
+    step, as in the count, and gets no steps."""
     steps: list[LambdaStep] = []
-    if q.N >= q.n:
+    if q.n <= q.N <= q.n * q.m:
         _lambda_walk(q.n, q.m, _seed_walk(), q.N - q.n, steps)
     return steps
 

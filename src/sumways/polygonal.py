@@ -20,8 +20,9 @@ here, because "a sum of k polygonal numbers" can be read two ways:
   numbers themselves, 0 included; a caller who wants no zero part drops
   it. A two-variable lattice walk counts multisets of exactly k parts.
   ``partition_count_grid`` returns the walk's columns, one per number of
-  parts, indexed cols[k][N]; ``count_partitions_with_parts`` reads one
-  cell of it.
+  parts, indexed cols[k][N], and checks its two bounds, the only lattice
+  input a ``PartSet`` does not already vouch for;
+  ``count_partitions_with_parts`` reads one cell of it.
 
 Positivity of one is equivalent to positivity of the other (with zero
 included as a part), and the tests hold the two routes against each other.
@@ -108,7 +109,15 @@ def polygonal_parts(m: int, bound: int) -> PartSet:
 def partition_count_grid(parts: PartSet, k_max: int, n_max: int) -> list[list[int]]:
     """Window of prod over parts of 1/(1 - x^p z) as k_max + 1 columns of
     n_max + 1 counts: cell cols[j][N] counts multisets of exactly j parts
-    summing to N."""
+    summing to N.
+
+    Both bounds are checked here, before the lattice is allocated; the
+    lattice kernel checks nothing itself.
+    """
+    if not isinstance(k_max, int) or k_max < 0:
+        raise ValueError("k must be nonnegative")
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("N must be nonnegative")
     return inverse_product_grid([(p, 1) for p in parts.parts], (n_max, k_max))
 
 
@@ -117,9 +126,6 @@ def count_partitions_with_parts(parts: PartSet, k: int, N: int) -> Count:
 
     A repeated part counts once per use; if 0 is in parts, padding with
     zeros is allowed and distinct pad counts are distinct multisets.
+    ``partition_count_grid`` checks k and N.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be nonnegative")
-    if not isinstance(N, int) or N < 0:
-        raise ValueError("N must be nonnegative")
     return partition_count_grid(parts, k, N)[k][N]

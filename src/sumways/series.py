@@ -12,9 +12,10 @@ target.
 
 The two-variable lattice kernel, ``inverse_product_grid``, returns the
 columns its walk built, one list over the first variable for each power of
-the second, and adds whole columns at a time. It checks the steps and
-bounds it is given, which come from outside; the cells it fills are not
-checked again.
+the second, and adds whole columns at a time. Like ``marks_product``, it
+checks nothing: its callers hand it steps and bounds that their public
+types and functions (``regula.LinearSystem2``, ``polygonal.PartSet`` and
+``polygonal.partition_count_grid``) have already checked.
 """
 
 from __future__ import annotations
@@ -157,18 +158,11 @@ def inverse_product_grid(
     commute, so every (a, 0) step goes first, while only column 0 is
     nonzero, as prefix sums of stride a; a step (a, b) with b >= 1 then
     adds column j-b, already final, into column j for j ascending. A step
-    with a past bounds[0] adds nothing and is skipped. Steps must be
-    nonnegative and never (0, 0) (that factor would not be a power series);
-    every step is checked before the grid is allocated.
+    with a past bounds[0] adds nothing and is skipped. The caller passes
+    nonnegative int bounds and nonnegative int steps, never (0, 0) (that
+    factor would not be a power series); none of them is checked here.
     """
     bu, bv = bounds
-    if bu < 0 or bv < 0:
-        raise ValueError("bounds must be nonnegative")
-    for a, b in steps:
-        if a < 0 or b < 0:
-            raise ValueError("steps must be nonnegative")
-        if a == 0 and b == 0:
-            raise ValueError("step (0, 0) is not allowed")
     first = [0] * (bu + 1)
     first[0] = 1
     for a, b in steps:

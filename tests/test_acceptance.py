@@ -138,7 +138,7 @@ def test_criterion_6_exact_division_throughout():
     steps = 0
     for n in range(1, 6):
         for m in range(1, 9):
-            for step in lambda_recurrence_trace(HomoQuery(n, m, m * n + 2)):
+            for step in lambda_recurrence_trace(HomoQuery(n, m, m * n)):
                 assert step.value * step.lam == step.numerator
                 steps += 1
     for n in range(1, 9):

@@ -100,6 +100,18 @@ def test_lambda_past_support_takes_no_step(monkeypatch):
     assert count_lambda_recurrence(HomoQuery(2, 6, 1)) == 0
 
 
+def test_lambda_trace_past_support_takes_no_step():
+    # a walk to 10**9 would build a LambdaStep per offset and take minutes
+    tracemalloc.start()
+    try:
+        traces = [lambda_recurrence_trace(HomoQuery(2, 6, N)) for N in (10**9, 13)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traces == [[], []]
+    assert peak < 64 * 1024, peak
+
+
 def test_lambda_count_builds_no_steps(monkeypatch):
     # the count walks the recurrence without recording it; only the trace
     # builds a LambdaStep per step
@@ -129,7 +141,7 @@ def test_lambda_trace_final_steps():
 def test_lambda_every_step_divides():
     for n in range(1, 7):
         for m in (1, 2, 5, 6, 7):
-            for step in lambda_recurrence_trace(HomoQuery(n, m, m * n + 3)):
+            for step in lambda_recurrence_trace(HomoQuery(n, m, m * n)):
                 assert step.value * step.lam == step.numerator
 
 
@@ -472,10 +484,10 @@ def lambda_walks(draw):
 @example(HomoQuery(12, 2, 24))
 def test_lambda_trace_matches_list_keeping_reference(q):
     trace = lambda_recurrence_trace(q)
-    reference = lambda_steps_keeping_all(q.n, q.m, q.N)
+    # outside the support neither the trace nor the count takes a step
+    reference = lambda_steps_keeping_all(q.n, q.m, q.N) if q.N <= q.n * q.m else []
     assert [(s.lam, s.numerator, s.value) for s in trace] == reference
     assert all(type(step) is homogeneous.LambdaStep for step in trace)
-    # past the support the walk ends at 0, which the count returns at once
     expected = reference[-1][2] if reference else int(q.N == q.n)
     assert count_lambda_recurrence(q) == expected
 

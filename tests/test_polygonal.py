@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,26 @@ def test_partset_validation():
         PartSet((-1, 2))
     assert polygonal_parts(3, 10).parts == (0, 1, 3, 6, 10)
     assert PartSet(polygonal_parts(3, 10).parts[1:]).parts == (1, 3, 6, 10)
+
+
+def test_partition_count_grid_checks_its_bounds():
+    # the lattice kernel checks nothing; this public door refuses bad
+    # bounds, and count_partitions_with_parts enters through it
+    parts = polygonal_parts(3, 10)
+    for k, N, message in ((-1, 5, "k must"), (2, -1, "N must"), (2.5, 5, "k must")):
+        with pytest.raises(ValueError, match=message):
+            partition_count_grid(parts, k, N)
+        with pytest.raises(ValueError, match=message):
+            count_partitions_with_parts(parts, k, N)
+    # refused before a window of 10**7 counts is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            partition_count_grid(parts, -1, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_partition_counts_small():
