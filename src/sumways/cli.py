@@ -19,6 +19,15 @@ printed, except that an oracle whose outcome space exceeds a valid
 --oracle-budget exits 2 after the counts are printed. JSON output carries
 counts as decimal strings and round-trips through json.loads.
 
+Each bad input is refused in one place. argparse refuses a missing or
+malformed option; the library refuses a bad value at the public type or
+function the question enters through, such as HomoQuery, MarkedDie,
+hetero_count_product or LinearSystem2. The
+commands here refuse three values themselves: --oracle-budget and --list
+because the library would refuse them only after the count is printed,
+and --power below 1 because the unordered route, partition_count_grid,
+accepts 0 parts.
+
 One parser is built per process. A well-formed subcommand line (whole
 option strings, each followed by one value that does not start with "-",
 flags by none) is read on a fast path from that subcommand parser's own
@@ -68,10 +77,8 @@ def parse_die_spec(spec: str) -> MarkedDie:
 
 def parse_pair(spec: str, what: str) -> tuple[int, int]:
     """a:b pair of nonnegative integers."""
-    left, sep, right = spec.partition(":")
-    if not sep:
-        raise ValueError("bad %s %r: expected a:b" % (what, spec))
     try:
+        left, right = spec.split(":")
         return int(left), int(right)
     except ValueError:
         raise ValueError("bad %s %r: expected a:b" % (what, spec)) from None
@@ -162,14 +169,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_hetero(args) -> int:
-    if not args.die:
-        raise ValueError("need at least one --die")
     # each distinct spec text is parsed and validated once
     dice = {spec: parse_die_spec(spec) for spec in dict.fromkeys(args.die)}
     pool = DicePool(tuple(dice[spec] for spec in args.die))
     if args.sum is not None:
-        if args.sum < 0:
-            raise ValueError("--sum must be nonnegative")
         count = hetero_count_product(pool, args.sum)
         if args.format == "plain":
             print(count)
@@ -210,8 +213,6 @@ def cmd_polygonal_check(args) -> int:
 
 
 def cmd_virgins(args) -> int:
-    if not args.gen:
-        raise ValueError("need at least one --gen")
     generators = tuple(parse_pair(s, "--gen") for s in args.gen)
     targets = parse_pair(args.targets, "--targets")
     mode = "positive" if args.positive else "nonnegative"
@@ -365,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--die",
         action="append",
+        required=True,
         metavar="SPEC",
         help="one die: lo..hi or a comma list of marks (repeatable)",
     )
@@ -391,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--gen",
         action="append",
+        required=True,
         metavar="A:B",
         help="one generator's two coefficients (repeatable)",
     )

@@ -132,11 +132,15 @@ def _add_die_columns(m: int, n_max: int, N_max: int):
     Summing the add-a-die recurrence over N gives
     (N)(n) = sum over k < N of (k)(n-1) - (k-m)(n-1): column n is a zero
     followed by the running sum of column n-1 minus itself shifted down by
-    m. The walk starts from no dice at all, (N)(0) = 1 at N = 0 only.
+    m. The walk starts from no dice at all, (N)(0) = 1 at N = 0 only. A
+    shift past N_max leaves only zeros in the window, so the shift is cut
+    at N_max + 1: faces past N_max reach no sum the columns keep, and a
+    huge m builds no huge run of zeros.
     """
     col = [1] + [0] * N_max
+    shift = min(m, N_max + 1)
     for _ in range(n_max):
-        col = [0, *islice(accumulate(map(sub, col, chain(repeat(0, m), col))), N_max)]
+        col = [0, *islice(accumulate(map(sub, col, chain(repeat(0, shift), col))), N_max)]
         yield col
 
 

@@ -46,9 +46,10 @@ def polygonal_number(m: int, j: int) -> int:
 
 
 def _polygonal_numbers(m: int, bound: int) -> tuple[int, ...]:
-    """The m-gonal numbers 0, 1, m, ... up to bound, strictly increasing."""
-    if not isinstance(m, int) or m < 3:
-        raise ValueError("polygonal numbers need m >= 3 sides")
+    """The m-gonal numbers 0, 1, m, ... up to bound, strictly increasing.
+
+    The first ``polygonal_number`` call refuses a bad m.
+    """
     if not isinstance(bound, int) or bound < 0:
         raise ValueError("bound must be nonnegative")
     numbers = (polygonal_number(m, j) for j in count())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from sys import maxsize
 from typing import Literal
 
 from .series import Count, inverse_product_grid
@@ -83,13 +84,14 @@ def rv_enumerate_solutions(
     """Solutions in lexicographic order, at most cap of them.
 
     Returns (solutions, truncated); truncated is True when more solutions
-    exist beyond the cap.
+    exist beyond the cap. No list is longer than sys.maxsize, so a larger
+    cap reads as that.
     """
     if not isinstance(cap, int) or cap < 0:
         raise ValueError("cap must be nonnegative")
     lo = 1 if sys.mode == "positive" else 0
     n, v = sys.targets
-    out = list(islice(_solutions(sys.generators, lo, n, v, []), cap + 1))
+    out = list(islice(_solutions(sys.generators, lo, n, v, []), min(cap + 1, maxsize)))
     truncated = len(out) > cap
     del out[cap:]
     return out, truncated

@@ -71,6 +71,12 @@ def test_count_usage_errors(run_cli):
     assert code == 2
 
 
+def test_count_add_die_on_huge_dice(run_cli):
+    code, out, _ = run_cli("count", "--dice", "3", "--faces", str(10**30), "--sum", "5",
+                           "--engine", "all")
+    assert (code, out) == (0, "6\n" * 4)
+
+
 def test_count_oracle_budget_too_small(run_cli):
     code, _, err = run_cli(
         "count", "--dice", "5", "--faces", "6", "--sum", "18",
@@ -251,8 +257,13 @@ def test_hetero_json_and_csv(run_cli):
 
 
 def test_hetero_usage_errors(run_cli):
-    code, _, err = run_cli("hetero", "--sum", "3")
-    assert code == 2 and "--die" in err
+    code, out, err = run_cli("hetero", "--sum", "3")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --die" in err
+    # the pool's own door refuses a negative sum, in count's words
+    negative = run_cli("hetero", "--die", "1..6", "--sum", "-1")
+    assert negative == (2, "", "error: target sum must be nonnegative\n")
+    assert run_cli("count", "--dice", "2", "--faces", "6", "--sum", "-1") == negative
     code, _, _ = run_cli("hetero", "--die", "6..1", "--sum", "3")
     assert code == 2
     code, _, _ = run_cli("hetero", "--die", "a,b", "--sum", "3")
@@ -322,8 +333,12 @@ def test_virgins_positive_and_truncation(run_cli):
 
 
 def test_virgins_usage_errors(run_cli):
-    code, _, _ = run_cli("virgins", "--targets", "3:3")
-    assert code == 2
+    code, out, err = run_cli("virgins", "--targets", "3:3")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --gen" in err
+    for spec in ["1", "1:2:3", "a:1", ":"]:
+        code, out, err = run_cli("virgins", "--gen", spec, "--targets", "3:3")
+        assert (code, out, err) == (2, "", "error: bad --gen %r: expected a:b\n" % spec)
     code, _, _ = run_cli("virgins", "--gen", "1:1", "--targets", "33")
     assert code == 2
     code, _, _ = run_cli("virgins", "--gen", "0:0", "--targets", "3:3")
@@ -335,6 +350,11 @@ def test_negative_caps_are_refused_before_any_output(run_cli):
         "virgins", "--gen", "1:1", "--targets", "3:3", "--list", "-1"
     )
     assert (code, out, err) == (2, "", "error: --list cap must be nonnegative\n")
+    # a cap past sys.maxsize is no error: no list is that long
+    code, out, _ = run_cli(
+        "virgins", "--gen", "1:1", "--targets", "3:3", "--list", str(2**64)
+    )
+    assert (code, out) == (0, "1\n3\n")
     for oracle in (["--oracle"], []):
         code, out, err = run_cli(
             "count", "--dice", "2", "--faces", "6", "--sum", "7", *oracle,

@@ -84,6 +84,7 @@ PROBLEMS = [
     "hetero --die 1..6 --die",
     "count --dice 2 --faces 6 --sum 7 --engine all -h",
     "virgins --gen 1:1 --targets 3:3 --positive --positive",
+    "virgins --targets 3:3",
 ]
 
 

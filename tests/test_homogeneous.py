@@ -55,6 +55,12 @@ def test_add_die_table_values():
     assert count_add_die(HomoQuery(5, 6, 18)) == 780
 
 
+def test_add_die_cuts_faces_past_its_window():
+    # a face past the window reaches no kept sum; 10^30 faces build no run of zeros
+    assert count_add_die(HomoQuery(3, 10**30, 5)) == 6
+    assert count_table_add_die(10**30, 2, 3) == count_table_add_die(3, 2, 3)
+
+
 def test_table_one_face():
     table = count_table_add_die(1, 3, 3)
     for N in range(1, 4):

@@ -78,6 +78,8 @@ def test_enumeration_cap():
     assert len(sols) == 7
     sols, truncated = rv_enumerate_solutions(sys, 0)
     assert truncated and sols == []
+    # no list is longer than sys.maxsize: a larger cap reads as no cap
+    assert rv_enumerate_solutions(LinearSystem2(((1, 1),), (3, 3)), 2**64) == ([(3,)], False)
 
 
 def test_generator_order_irrelevant_for_count():
