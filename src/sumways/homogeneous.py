@@ -16,10 +16,12 @@ compute it by genuinely different routes and exist to check one another:
 ``count_lambda_recurrence``
     walk the offset lam = N - n through a three-term recurrence whose
     every step divides exactly; intermediates are signed. A step reads
-    only the last m+1 values, so the walk keeps a window of them: memory
-    is O(m * bits of the count), not O(N * bits). Solved for its oldest
-    term, the same relation steps the walk back down, so a walk parked at
-    one sum reaches the next sum of its shape in |N - N'| steps.
+    only the last k+1 values, k the faces a throw summing to N can show
+    (``count_lambda_recurrence`` cuts the rest), so the walk keeps a window
+    of them: memory is O(k * bits of the count), not O(N * bits). Solved
+    for its oldest term, the same relation steps the walk back down, so a
+    walk parked at one sum reaches the next sum of its shape in |N - N'|
+    steps.
     ``lambda_recurrence_trace`` walks up from lam = 0 by the same forward
     step and records each step; the count records none. Neither steps for
     a sum outside the support n..n*m.
@@ -52,14 +54,13 @@ bits each: about 77 KB for (190, 6) at window 1024, so each memo, full of
 such shapes, holds about 2.5 MB.
 
 The λ recurrence parks its walk instead of a table: at most
-SHAPE_MEMO_SIZE walks, one per shape (n, m), the least recently parked
-dropped first. A walk is its offset lam and a window of the last
-min(m, lam'+1)+1 counts up to lam, lam' the farthest offset it has
-reached (zeros stand in below offset 0), so 32 parked walks of (190, 6)
-shapes hold 32 * 7 counts. A walk is taken out of the park while it moves and
-put back only once the whole move has succeeded, so a step that fails
-leaves no half-moved walk behind. The closed form keeps no memo: it is the
-one memo-free check the other three are compared against.
+SHAPE_MEMO_SIZE walks, one per walked shape (n, k), the least recently
+parked dropped first. A walk is its offset lam and a window of the last
+k+1 counts up to lam, so 32 parked walks of (190, 6) shapes hold 32 * 7
+counts. A walk is taken out of the park while it moves and put back only
+once the whole move has succeeded, so a step that fails leaves no
+half-moved walk behind. The closed form keeps no memo: it is the one
+memo-free check the other three are compared against.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class HomoQuery:
 
 
 # Entries each expanding engine keeps, one per (n, m, window), and λ walks
-# parked, one per (n, m).
+# parked, one per walked shape (n, k).
 SHAPE_MEMO_SIZE = 32
 
 
@@ -121,7 +122,10 @@ def count_poly(q: HomoQuery) -> Count:
     The power is expanded out to the window of the module docstring and
     remembered per (n, m, window), so a shape seen before answers any sum
     in the same window without multiplying; a sum past the support reads 0.
+    A sum below the support, N < n, is 0 without an expansion.
     """
+    if q.N < q.n:
+        return 0
     power = _die_power(q.n, q.m, _window(q))
     return power[q.N] if q.N < len(power) else 0
 
@@ -176,14 +180,14 @@ class LambdaStep(NamedTuple):
     value: int
 
 
-# Parked λ walks, (n, m) -> (lam, window), the least recently parked first.
+# Parked λ walks, (n, k) -> (lam, window), the least recently parked first.
 _parked: dict[tuple[int, int], tuple[int, deque[int]]] = {}
 _parked_lock = threading.Lock()
 
 
-def _seed_walk() -> tuple[int, deque[int]]:
-    """The walk at lam = 0, where the count is 1."""
-    return 0, deque([1], maxlen=1)
+def _seed_walk(m: int) -> tuple[int, deque[int]]:
+    """The walk at lam = 0, where the count is 1, after m zeros below."""
+    return 0, deque([0] * m + [1], maxlen=m + 1)
 
 
 def _lambda_walk(
@@ -193,34 +197,25 @@ def _lambda_walk(
     """Move ``walk`` to the offset ``to`` and return it; its window's last
     value is the count at ``to``.
 
-    A walk is its offset and a deque, kept full, of the last k+1 values. A
-    step reads the values at lam-1, lam-m and lam-m-1 only, so k = m would
-    do; a walk keeps k = min(m, lam'+1) instead, lam' the farthest offset
-    it has reached. Below lam' = m-1 its oldest values are zeros below
-    offset 0, which stand in for the values at lam-m and lam-m-1, so a
-    huge m allocates no huge window.
+    A walk is its offset and a deque, kept full, of the last m+1 values:
+    a step reads the values at lam-1, lam-m and lam-m-1 only.
 
-    A forward move first pads the window with zeros to k = min(m, to+1),
-    then steps up as the recurrence reads, dividing by lam. A backward
-    move solves the same relation for its oldest term,
+    A forward move steps up as the recurrence reads, dividing by lam. A
+    backward move solves the same relation for its oldest term,
 
     v[lam-m-1] = (lam*v[lam] - (n-1+lam)*v[lam-1] + (m*n+m-lam)*v[lam-m])
                  / (m*n-n+m+1-lam),
 
     whose divisor is at least m+1 inside the support, and pushes it in at
-    the old end; in a window shorter than m+1 that value is a zero below
-    offset 0, pushed in without a step. A remainder raises
-    DivisibilityError. The window is changed in place, so a move that
-    raises leaves it half-moved. Each forward step is appended to
-    ``steps`` as a LambdaStep when a list is passed; with none, the walk
-    builds nothing per step but the window's new value.
+    the old end. A remainder raises DivisibilityError. The window is
+    changed in place, so a move that raises leaves it half-moved. Each
+    forward step is appended to ``steps`` as a LambdaStep when a list is
+    passed; with none, the walk builds nothing per step but the window's
+    new value.
     """
     at, window = walk
     a, b, c = n - 1, m * n + m, m * n - n + m + 1
     if to > at:
-        k = min(m, to + 1)
-        if len(window) <= k:
-            window = deque(chain(repeat(0, k + 1 - len(window)), window), maxlen=k + 1)
         value = window[-1]
         for lam in range(at + 1, to + 1):
             # window[0], window[1] and value hold the values at lam-m-1,
@@ -234,7 +229,7 @@ def _lambda_walk(
             window.append(value)
             if steps is not None:
                 steps.append(LambdaStep(lam, numerator, value))
-    elif len(window) == m + 1:
+    else:
         for lam in range(at, to, -1):
             # window[0], window[-2] and window[-1] hold the values at
             # lam-m, lam-1 and lam
@@ -246,8 +241,6 @@ def _lambda_walk(
                     % (lam, n, m, r)
                 )
             window.appendleft(older)
-    else:
-        window.extendleft(repeat(0, at - to))
     return to, window
 
 
@@ -261,22 +254,29 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
     seeded with (n)(n) = 1 and zeros below; a sum outside the support n..n*m
     is 0 without a step. Intermediate products are signed; every division
     is exact (a remainder raises DivisibilityError, since it would mean the
-    values are not the counts this recurrence characterizes). A step reads
-    only the last m+1 values, so only those are kept: memory is
-    O(m * bits of the count), however long the walk.
+    values are not the counts this recurrence characterizes).
 
-    The walk is parked per shape (n, m) between calls, as the module
-    docstring says: a shape seen before moves its walk from the last sum
-    to this one, up or down, in |N - N'| steps; a new shape, or one whose
-    walk was dropped, walks up from lam = 0. The walk records nothing per
-    step; ``lambda_recurrence_trace`` walks afresh and keeps its steps.
+    The other n-1 dice show at least 1 each, so no face above N-n+1 is
+    part of a throw summing to N: the count is that of the die shape
+    (n, k), k = min(m, N-n+1), and the recurrence walks that shape. A step
+    reads only the last k+1 values, so only those are kept: memory is
+    O(k * bits of the count), however long the walk, and a huge m builds
+    no huge window. Below lam = k the m-terms of the recurrence read zeros
+    for either shape, so each step is the same as on the full die.
+
+    The walk is parked per walked shape (n, k) between calls, as the
+    module docstring says: a shape seen before moves its walk from the
+    last sum to this one, up or down, in |N - N'| steps; a new shape, or
+    one whose walk was dropped, walks up from lam = 0. The walk records
+    nothing per step; ``lambda_recurrence_trace`` walks afresh and keeps
+    its steps.
     """
     if q.N < q.n or q.N > q.n * q.m:
         return 0
-    shape = (q.n, q.m)
+    k = min(q.m, q.N - q.n + 1)
     with _parked_lock:
-        walk = _parked.pop(shape, None)
-    walk = _lambda_walk(q.n, q.m, walk or _seed_walk(), q.N - q.n)
+        walk = _parked.pop((q.n, k), None)
+    walk = _lambda_walk(q.n, k, walk or _seed_walk(k), q.N - q.n)
     value = walk[1][-1]
     if value < 0:
         raise DivisibilityError(
@@ -284,7 +284,7 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
             % (value, q.n, q.m, q.N)
         )
     with _parked_lock:
-        _parked[shape] = walk
+        _parked[q.n, k] = walk
         if len(_parked) > SHAPE_MEMO_SIZE:
             del _parked[next(iter(_parked))]
     return value
@@ -292,11 +292,13 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
 
 def lambda_recurrence_trace(q: HomoQuery) -> list[LambdaStep]:
     """All recurrence steps from lam = 1 up to lam = N - n, in order, on a
-    fresh walk from lam = 0. A sum outside the support n..n*m takes no
-    step, as in the count, and gets no steps."""
+    fresh walk from lam = 0 on the shape the count walks. A sum outside
+    the support n..n*m takes no step, as in the count, and gets no
+    steps."""
     steps: list[LambdaStep] = []
     if q.n <= q.N <= q.n * q.m:
-        _lambda_walk(q.n, q.m, _seed_walk(), q.N - q.n, steps)
+        k = min(q.m, q.N - q.n + 1)
+        _lambda_walk(q.n, k, _seed_walk(k), q.N - q.n, steps)
     return steps
 
 
@@ -352,8 +354,11 @@ def count_add_die(q: HomoQuery) -> Count:
 
     The last column is built over the window of the module docstring and
     remembered per (n, m, window), in a memo of its own; a sum past the
-    support reads 0.
+    support reads 0. A sum below the support, N < n, is 0 without a
+    column.
     """
+    if q.N < q.n:
+        return 0
     col = _last_add_die_column(q.n, q.m, _window(q))
     return col[q.N] if q.N < len(col) else 0
 

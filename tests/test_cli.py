@@ -75,6 +75,10 @@ def test_count_add_die_on_huge_dice(run_cli):
     code, out, _ = run_cli("count", "--dice", "3", "--faces", str(10**30), "--sum", "5",
                            "--engine", "all")
     assert (code, out) == (0, "6\n" * 4)
+    # below the support every engine reads 0 without expanding 10**30 dice
+    code, out, err = run_cli("count", "--dice", str(10**30), "--faces", "6", "--sum", "5",
+                             "--engine", "all")
+    assert (code, out, err) == (0, "0\n" * 4, "")
 
 
 def test_count_oracle_budget_too_small(run_cli):

@@ -61,6 +61,23 @@ def test_add_die_cuts_faces_past_its_window():
     assert count_table_add_die(10**30, 2, 3) == count_table_add_die(3, 2, 3)
 
 
+def test_expanding_engines_read_a_sum_below_the_support_without_expanding():
+    # 10**30 dice cannot sum to 5; an expansion would multiply out 6^n
+    q = HomoQuery(10**30, 6, 5)
+    clear_memos()
+    for engine in (count_poly, count_add_die):
+        tracemalloc.start()
+        try:
+            count = engine(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 0, engine
+        assert peak < 64 * 1024, engine
+    for memo in EXPANSIONS:
+        assert memo.cache_info().misses == 0
+
+
 def test_table_one_face():
     table = count_table_add_die(1, 3, 3)
     for N in range(1, 4):
@@ -366,9 +383,9 @@ EXPANSIONS = (homogeneous._die_power, homogeneous._last_add_die_column)
 
 
 def parked(q):
-    """The walk parked for q's shape as (lam, its window's values), or
-    None."""
-    walk = homogeneous._parked.get((q.n, q.m))
+    """The walk parked for the shape q walks, (n, min(m, N-n+1)), as
+    (lam, its window's values), or None."""
+    walk = homogeneous._parked.get((q.n, min(q.m, q.N - q.n + 1)))
     return walk and (walk[0], list(walk[1]))
 
 
@@ -402,7 +419,6 @@ def query_sequences(draw):
           HomoQuery(3, 10**12, 39), HomoQuery(3, 10**12, 3)])
 def test_memoized_engines_match_closed_form_on_any_query_sequence(queries):
     clear_memos()
-    farthest = {}
     for q in queries:
         expected = count_closed_form(q)
         assert count_poly(q) == expected, q
@@ -411,10 +427,9 @@ def test_memoized_engines_match_closed_form_on_any_query_sequence(queries):
         assert count_lambda_recurrence(q) == expected, q
         lam = q.N - q.n
         if 0 <= lam <= (q.m - 1) * q.n:
-            farthest[q.n, q.m] = top = max(lam, farthest.get((q.n, q.m), 0))
             at, window = parked(q)
             assert (at, window[-1]) == (lam, expected), q
-            assert len(window) <= min(q.m, top + 1) + 1, q
+            assert len(window) == min(q.m, lam + 1) + 1, q
         else:  # outside the support the parked walk does not move
             assert parked(q) == before, q
     for memo in EXPANSIONS:
@@ -488,6 +503,8 @@ def lambda_walks(draw):
 @example(HomoQuery(4, 6, 24))
 @example(HomoQuery(4, 6, 25))
 @example(HomoQuery(12, 2, 24))
+@example(HomoQuery(3, 10**12, 9))
+@example(HomoQuery(2, 10**6, 5))
 def test_lambda_trace_matches_list_keeping_reference(q):
     trace = lambda_recurrence_trace(q)
     # outside the support neither the trace nor the count takes a step
@@ -533,15 +550,15 @@ def test_lambda_short_walk_with_many_faces_allocates_no_window_of_m():
     try:
         count = count_lambda_recurrence(q)
         trace = lambda_recurrence_trace(q)
-        # a walk parked on 10**12 faces moves up and back down, its window
-        # a few values long
+        # each sum on 10**12 faces walks only the faces it can use, so each
+        # parked window is a few values long
         moved = [count_lambda_recurrence(HomoQuery(2, 10**12, N)) for N in (5, 40, 3, 7)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert count == 4 == trace[-1].value
     assert moved == [4, 39, 2, 6]
-    assert len(homogeneous._parked[2, 10**12][1]) == 40
+    assert len(homogeneous._parked[2, 39][1]) == 40
     assert peak < 64 * 1024  # a window of m zeros would take about 8 MB
     # no engine builds a die of m faces for a sum far below m
     for name, engine in ENGINES.items():
@@ -576,7 +593,7 @@ def test_lambda_backward_move_crosses_a_full_window():
 
     assert count_lambda_recurrence(HomoQuery(n, m, 50)) == counts(38, 38)[0]
     assert parked(HomoQuery(n, m, 50)) == (38, counts(38 - m, 38))
-    for lam in (28, 27, 2, 0):  # m + 5 steps, 1 step, then into the zeros below 0
+    for lam in (28, 27, 4):  # m + 5 steps, 1 step, then into the zeros below 0
         q = HomoQuery(n, m, n + lam)
         assert count_lambda_recurrence(q) == count_closed_form(q), lam
         # each step back recomputed the oldest value, so the window is exact
