@@ -199,11 +199,14 @@ def cmd_hetero(args) -> int:
 def cmd_polygonal_check(args) -> int:
     if args.power < 1:
         raise ValueError("--power must be positive")
+    # 0 and 1 are m-gonal for every m, so with at least N parts every
+    # N <= upto is N ones plus zeros: every power >= upto prints one line
+    power = min(args.power, max(args.upto, 1))
     if args.unordered:
         parts = polygonal_parts(args.sides, args.upto)
-        counts = partition_count_grid(parts, args.power, args.upto)[args.power]
+        counts = partition_count_grid(parts, power, args.upto)[power]
     else:
-        counts = ordered_representation_counts(args.sides, args.power, args.upto)
+        counts = ordered_representation_counts(args.sides, power, args.upto)
     gap = check_all_positive(counts, args.upto)
     if gap is None:
         print("all exponents 0..%d representable" % args.upto)

@@ -38,14 +38,15 @@ dice total P, the useful structural facts are: support is n..m*n with value
 wraparound (lam < m) the count is the plain composition count
 C(n+lam-1, lam).
 
-The two expanding engines, ``count_poly`` and ``count_add_die``, remember
-what they expanded, per die shape (n, m), since one expansion holds the
-count for every sum. Each expands out to the window
+The two expanding engines, ``count_poly`` and ``count_add_die``, answer a
+sum outside the support n..n*m with 0 at their door, each with its own
+check, and remember what they expanded, per die shape (n, m), since one
+expansion holds the count for every sum. Each expands out to the window
 min(n*m, 2^bitlen(N)): the least power of two above N, capped at the full
-support. An entry answers every later sum with the same window: N from
-window/2 to window - 1, or, once the window is capped, every N from the
-top power of two below n*m upward (past the support the count is 0). A
-miss expands at most about twice as far as N needs, so it costs at most
+support, and computes that window itself. An entry answers every later
+sum with the same window: N from window/2 to window - 1, or, once the
+window is capped, every N from the top power of two below n*m up to n*m.
+A miss expands at most about twice as far as N needs, so it costs at most
 about 3x an expansion to N alone, and never expands the full support for
 a small N. Each engine keeps its own memo of at most SHAPE_MEMO_SIZE
 entries, the least recently used dropped first, so the two routes stay
@@ -104,12 +105,6 @@ class HomoQuery:
 SHAPE_MEMO_SIZE = 32
 
 
-def _window(q: HomoQuery) -> int:
-    """Largest sum an expansion for q keeps: the least power of two above
-    N, capped at the full support n*m."""
-    return min(q.n * q.m, 1 << q.N.bit_length())
-
-
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def _die_power(n: int, m: int, window: int) -> tuple[Count, ...]:
     # a face above the window is part of no sum the window keeps
@@ -121,13 +116,12 @@ def count_poly(q: HomoQuery) -> Count:
 
     The power is expanded out to the window of the module docstring and
     remembered per (n, m, window), so a shape seen before answers any sum
-    in the same window without multiplying; a sum past the support reads 0.
-    A sum below the support, N < n, is 0 without an expansion.
+    in the same window without multiplying. A sum outside the support
+    n..n*m is 0 without an expansion.
     """
-    if q.N < q.n:
+    if q.N < q.n or q.N > q.n * q.m:
         return 0
-    power = _die_power(q.n, q.m, _window(q))
-    return power[q.N] if q.N < len(power) else 0
+    return _die_power(q.n, q.m, min(q.n * q.m, 1 << q.N.bit_length()))[q.N]
 
 
 def _add_die_columns(m: int, n_max: int, N_max: int):
@@ -353,14 +347,12 @@ def count_add_die(q: HomoQuery) -> Count:
     """Point query answered by the add-a-die columns; only the last is read.
 
     The last column is built over the window of the module docstring and
-    remembered per (n, m, window), in a memo of its own; a sum past the
-    support reads 0. A sum below the support, N < n, is 0 without a
-    column.
+    remembered per (n, m, window), in a memo of its own. A sum outside the
+    support n..n*m is 0 without an expansion.
     """
-    if q.N < q.n:
+    if q.N < q.n or q.N > q.n * q.m:
         return 0
-    col = _last_add_die_column(q.n, q.m, _window(q))
-    return col[q.N] if q.N < len(col) else 0
+    return _last_add_die_column(q.n, q.m, min(q.n * q.m, 1 << q.N.bit_length()))[q.N]
 
 
 ENGINES = {

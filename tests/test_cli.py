@@ -3,7 +3,15 @@ import math
 import sys
 import tracemalloc
 
+import pytest
+
 from sumways import cli, homogeneous
+from sumways.polygonal import (
+    check_all_positive,
+    ordered_representation_counts,
+    partition_count_grid,
+    polygonal_parts,
+)
 
 
 def test_count_plain(run_cli):
@@ -289,6 +297,11 @@ def test_polygonal_check(run_cli):
     )
     assert code == 0
     assert out == "all exponents 0..500 representable\n"
+    # at least upto parts write every N <= upto as ones and zeros
+    code, out, err = run_cli(
+        "polygonal-check", "--sides", "3", "--power", str(10**30), "--upto", "5"
+    )
+    assert (code, out, err) == (0, "all exponents 0..5 representable\n", "")
 
 
 def test_polygonal_check_unordered(run_cli):
@@ -303,6 +316,34 @@ def test_polygonal_check_unordered(run_cli):
         "--unordered",
     )
     assert out == "all exponents 0..200 representable\n"
+    code, out, err = run_cli(
+        "polygonal-check", "--sides", "3", "--power", str(10**30), "--upto", "5",
+        "--unordered",
+    )
+    assert (code, out, err) == (0, "all exponents 0..5 representable\n", "")
+
+
+@pytest.mark.parametrize("sides", range(3, 9))
+def test_polygonal_check_caps_power_at_upto(run_cli, sides):
+    # the CLI scans at most upto parts; the library counts take every power
+    for upto in range(14):
+        parts = polygonal_parts(sides, upto)
+        for power in range(1, upto + 4):
+            for unordered, counts in (
+                ([], ordered_representation_counts(sides, power, upto)),
+                (["--unordered"], partition_count_grid(parts, power, upto)[power]),
+            ):
+                gap = check_all_positive(counts, upto)
+                expected = (
+                    "all exponents 0..%d representable\n" % upto
+                    if gap is None
+                    else "first gap at %d\n" % gap
+                )
+                code, out, _ = run_cli(
+                    "polygonal-check", "--sides", str(sides), "--power", str(power),
+                    "--upto", str(upto), *unordered,
+                )
+                assert (code, out) == (0, expected), (upto, power, unordered)
 
 
 def test_polygonal_check_usage(run_cli):
@@ -334,6 +375,17 @@ def test_virgins_positive_and_truncation(run_cli):
     )
     assert code == 0
     assert out == "3\n1 3\n2 2\n3 1\n"
+
+
+def test_virgins_listing_that_disagrees_with_the_count_exits_3(run_cli, monkeypatch):
+    real = cli.rv_count_solutions
+    monkeypatch.setattr(cli, "rv_count_solutions", lambda system: real(system) + 1)
+    code, out, err = run_cli(
+        "virgins", "--gen", "1:1", "--gen", "1:1", "--targets", "4:4", "--list", "10"
+    )
+    assert code == 3
+    assert out == "6\n0 4\n1 3\n2 2\n3 1\n4 0\n"
+    assert err == "error: enumeration found 5 solutions, count says 6\n"
 
 
 def test_virgins_usage_errors(run_cli):

@@ -171,3 +171,11 @@ def test_verify_paper_json_reports_a_failed_check(monkeypatch):
     assert obj == [report_object(report)]
     assert obj[0]["clean"] is False
     assert (obj[0]["matching"], obj[0]["computed_total"]) == (0, "1152")
+    # the plain report names both totals and fails the same way
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify-paper", "--table", "s22"])
+    assert code == 3
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "0/24 entries match; printed total 576, computed total 1152"
+    assert len(lines) == 1 + len(report.mismatches) == 25

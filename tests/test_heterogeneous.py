@@ -108,6 +108,8 @@ def test_closed_form_known_values():
     assert hetero_count_closed_form((4,), 5) == 0
     with pytest.raises(ValueError):
         hetero_count_closed_form((), 3)
+    with pytest.raises(ValueError, match="target sum must be nonnegative"):
+        hetero_count_closed_form((6,), -1)
     # a bad face count anywhere in the tuple is refused
     for faces in ((6, 0), (6, -1), (6, 2.0), (0, 6), (-1, 6), (2.0, 6)):
         with pytest.raises(ValueError, match="face counts must be positive ints"):

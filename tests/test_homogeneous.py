@@ -62,18 +62,24 @@ def test_add_die_cuts_faces_past_its_window():
 
 
 def test_expanding_engines_read_a_sum_below_the_support_without_expanding():
-    # 10**30 dice cannot sum to 5; an expansion would multiply out 6^n
-    q = HomoQuery(10**30, 6, 5)
+    # and a sum above it: neither engine expands for a sum outside n..n*m
+    queries = [
+        # 10**30 dice cannot sum to 5; an expansion would multiply out 6^n
+        HomoQuery(10**30, 6, 5),
+        # 2 dice of 10**4 faces cannot sum to 10**6; an expansion would
+        # build the whole support of 2 * 10**4 counts and read past its end
+        HomoQuery(2, 10**4, 10**6),
+    ]
     clear_memos()
-    for engine in (count_poly, count_add_die):
+    for q, engine in itertools.product(queries, (count_poly, count_add_die)):
         tracemalloc.start()
         try:
             count = engine(q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count == 0, engine
-        assert peak < 64 * 1024, engine
+        assert count == 0, (q, engine)
+        assert peak < 64 * 1024, (q, engine)
     for memo in EXPANSIONS:
         assert memo.cache_info().misses == 0
 

@@ -2,11 +2,10 @@
 
 Each route runs under ``sys.setprofile`` with its inputs built beforehand
 and the like-dice engines' memos and parked λ walks cleared, and every
-function of the package it calls is recorded. Two routes for one question may share only
-the functions in ``SHARED``: the window both expanding engines expand to,
-and the polygonal numbers that the ordered and the unordered counts are
-built from. Functions are keyed by their code objects, which every
-supported Python version has.
+function of the package it calls is recorded. Two routes for one question
+may share only the functions in ``SHARED``: the polygonal numbers that the
+ordered and the unordered counts are built from. Functions are keyed by
+their code objects, which every supported Python version has.
 """
 
 import os
@@ -19,7 +18,7 @@ import pytest
 from conftest import clear_memos
 
 import sumways
-from sumways import homogeneous, polygonal
+from sumways import polygonal
 from sumways.heterogeneous import (
     consecutive_pool,
     hetero_count_closed_form,
@@ -48,7 +47,6 @@ def nested(code):
 
 
 SHARED = {
-    homogeneous._window.__code__,
     polygonal.polygonal_number.__code__,
     *nested(polygonal._polygonal_numbers.__code__),
 }

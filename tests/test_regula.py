@@ -78,6 +78,8 @@ def test_enumeration_cap():
     assert len(sols) == 7
     sols, truncated = rv_enumerate_solutions(sys, 0)
     assert truncated and sols == []
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        rv_enumerate_solutions(sys, -1)
     # no list is longer than sys.maxsize: a larger cap reads as no cap
     assert rv_enumerate_solutions(LinearSystem2(((1, 1),), (3, 3)), 2**64) == ([(3,)], False)
 
