@@ -20,7 +20,7 @@ compute it by genuinely different routes and exist to check one another:
     (``count_lambda_recurrence`` cuts the rest), so the walk keeps a window
     of them: memory is O(k * bits of the count), not O(N * bits). Solved
     for its oldest term, the same relation steps the walk back down, so a
-    walk parked at one sum reaches the next sum of its shape in |N - N'|
+    walk parked at one sum reaches another sum of its shape in |N - N'|
     steps.
     ``lambda_recurrence_trace`` walks up from lam = 0 by the same forward
     step and records each step; the count records none. Neither steps for
@@ -54,19 +54,22 @@ independent. An entry holds window+1 exact counts of at most n*log2(m)
 bits each: about 77 KB for (190, 6) at window 1024, so each memo, full of
 such shapes, holds about 2.5 MB.
 
-The λ recurrence parks its walk instead of a table: at most
-SHAPE_MEMO_SIZE walks, one per walked shape (n, k), the least recently
-parked dropped first. A walk is its offset lam and a window of the last
-k+1 counts up to lam, so 32 parked walks of (190, 6) shapes hold 32 * 7
-counts. A walk is taken out of the park while it moves and put back only
-once the whole move has succeeded, so a step that fails leaves no
-half-moved walk behind. The closed form keeps no memo: it is the one
-memo-free check the other three are compared against.
+The λ recurrence parks walks instead of a table: checkpoints, each a
+walked shape (n, k), an offset lam and the window of the last k+1 counts
+up to lam. A count moves a copy of the checkpoint of its shape nearest to
+its offset, if that is nearer than lam = 0, and parks the copy at its own
+offset, so a shape asked in turn near two sums keeps a checkpoint near
+each. A parked window is never changed, so a step that fails leaves the
+park as it was. At most SHAPE_MEMO_SIZE walks are parked in all, the
+least recently used dropped first, so 32 parked walks of (190, 6) shapes
+hold 32 * 7 counts. The closed form keeps no memo: it is the one memo-free
+check the other three are compared against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -101,7 +104,7 @@ class HomoQuery:
 
 
 # Entries each expanding engine keeps, one per (n, m, window), and λ walks
-# parked, one per walked shape (n, k).
+# parked in all, one per walked shape and offset (n, k, lam).
 SHAPE_MEMO_SIZE = 32
 
 
@@ -174,13 +177,21 @@ class LambdaStep(NamedTuple):
     value: int
 
 
-# Parked λ walks, (n, k) -> (lam, window), the least recently parked first.
-_parked: dict[tuple[int, int], tuple[int, deque[int]]] = {}
+# Parked λ walks, (n, k, lam) -> window, the least recently used first. A
+# window is never changed once parked, so it can be read outside the lock.
+_parked: dict[tuple[int, int, int], deque[int]] = {}
 _parked_lock = threading.Lock()
 
 
 def _seed_walk(m: int) -> tuple[int, deque[int]]:
-    """The walk at lam = 0, where the count is 1, after m zeros below."""
+    """The walk at lam = 0, where the count is 1, after m zeros below.
+    A window of m+1 counts past sys.maxsize cannot be indexed, so it is
+    refused before anything is built."""
+    if m + 1 > sys.maxsize:
+        raise ValueError(
+            "too many faces to walk: the lambda window of k+1 counts, k of %d bits,"
+            " cannot be indexed" % m.bit_length()
+        )
     return 0, deque([0] * m + [1], maxlen=m + 1)
 
 
@@ -202,10 +213,10 @@ def _lambda_walk(
 
     whose divisor is at least m+1 inside the support, and pushes it in at
     the old end. A remainder raises DivisibilityError. The window is
-    changed in place, so a move that raises leaves it half-moved. Each
-    forward step is appended to ``steps`` as a LambdaStep when a list is
-    passed; with none, the walk builds nothing per step but the window's
-    new value.
+    changed in place, so a move that raises leaves it half-moved; the
+    count moves a copy, never a parked window. Each forward step is
+    appended to ``steps`` as a LambdaStep when a list is passed; with
+    none, the walk builds nothing per step but the window's new value.
     """
     at, window = walk
     a, b, c = n - 1, m * n + m, m * n - n + m + 1
@@ -258,27 +269,34 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
     no huge window. Below lam = k the m-terms of the recurrence read zeros
     for either shape, so each step is the same as on the full die.
 
-    The walk is parked per walked shape (n, k) between calls, as the
-    module docstring says: a shape seen before moves its walk from the
-    last sum to this one, up or down, in |N - N'| steps; a new shape, or
-    one whose walk was dropped, walks up from lam = 0. The walk records
-    nothing per step; ``lambda_recurrence_trace`` walks afresh and keeps
-    its steps.
+    Walks are parked as checkpoints between calls, as the module docstring
+    says: a count starts from a copy of the parked walk of its shape (n, k)
+    whose offset is nearest to lam, when that is nearer than a fresh walk
+    from lam = 0, moves the copy up or down to lam and parks it there; the
+    walk it copied stays parked as it was. The walk records nothing per
+    step; ``lambda_recurrence_trace`` walks afresh and keeps its steps.
     """
     if q.N < q.n or q.N > q.n * q.m:
         return 0
-    k = min(q.m, q.N - q.n + 1)
+    n, lam = q.n, q.N - q.n
+    k = min(q.m, lam + 1)
+    source, best = None, lam  # a fresh walk is lam steps away
     with _parked_lock:
-        walk = _parked.pop((q.n, k), None)
-    walk = _lambda_walk(q.n, k, walk or _seed_walk(k), q.N - q.n)
-    value = walk[1][-1]
+        for key in _parked:
+            if key[0] == n and key[1] == k and abs(key[2] - lam) < best:
+                source, best = key, abs(key[2] - lam)
+        if source:
+            _parked[source] = parked = _parked.pop(source)  # now the most recent
+    walk = (source[2], deque(parked, maxlen=k + 1)) if source else _seed_walk(k)
+    window = _lambda_walk(n, k, walk, lam)[1]
+    value = window[-1]
     if value < 0:
         raise DivisibilityError(
             "recurrence ended at negative count %d for n=%d m=%d N=%d"
             % (value, q.n, q.m, q.N)
         )
     with _parked_lock:
-        _parked[q.n, k] = walk
+        _parked[n, k, lam] = window
         if len(_parked) > SHAPE_MEMO_SIZE:
             del _parked[next(iter(_parked))]
     return value

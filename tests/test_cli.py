@@ -89,6 +89,14 @@ def test_count_add_die_on_huge_dice(run_cli):
     assert (code, out, err) == (0, "0\n" * 4, "")
 
 
+def test_count_lambda_refuses_a_window_it_cannot_index(run_cli):
+    code, out, err = run_cli("count", "--dice", "3", "--faces", str(10**30),
+                             "--sum", str(15 * 10**29), "--engine", "lambda")
+    assert (code, out) == (2, "")
+    assert err == ("error: too many faces to walk: the lambda window of k+1 counts,"
+                   " k of 100 bits, cannot be indexed\n")
+
+
 def test_count_oracle_budget_too_small(run_cli):
     code, _, err = run_cli(
         "count", "--dice", "5", "--faces", "6", "--sum", "18",

@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from conftest import clear_memos
@@ -389,10 +391,25 @@ EXPANSIONS = (homogeneous._die_power, homogeneous._last_add_die_column)
 
 
 def parked(q):
-    """The walk parked for the shape q walks, (n, min(m, N-n+1)), as
-    (lam, its window's values), or None."""
-    walk = homogeneous._parked.get((q.n, min(q.m, q.N - q.n + 1)))
-    return walk and (walk[0], list(walk[1]))
+    """The values of the window parked at q's walk, (n, min(m, N-n+1),
+    N-n), or None."""
+    window = homogeneous._parked.get((q.n, min(q.m, q.N - q.n + 1), q.N - q.n))
+    return window and list(window)
+
+
+def park():
+    """Every parked walk as ((n, k, lam), its window's values), in the
+    park's order, least recently used first."""
+    return [(key, list(window)) for key, window in homogeneous._parked.items()]
+
+
+def assert_park_is_exact():
+    """Every parked window holds the counts of its shape (n, k) at the
+    offsets lam-k..lam, 0 below the support, and the park is bounded."""
+    assert len(homogeneous._parked) <= homogeneous.SHAPE_MEMO_SIZE
+    for (n, k, lam), window in park():
+        assert window == [count_closed_form(HomoQuery(n, k, n + j)) if j >= 0 else 0
+                          for j in range(lam - k, lam + 1)], (n, k, lam)
 
 
 @st.composite
@@ -429,18 +446,18 @@ def test_memoized_engines_match_closed_form_on_any_query_sequence(queries):
         expected = count_closed_form(q)
         assert count_poly(q) == expected, q
         assert count_add_die(q) == expected, q
-        before = parked(q)
+        before = park()
         assert count_lambda_recurrence(q) == expected, q
         lam = q.N - q.n
         if 0 <= lam <= (q.m - 1) * q.n:
-            at, window = parked(q)
-            assert (at, window[-1]) == (lam, expected), q
+            window = parked(q)
+            assert window[-1] == expected, q
             assert len(window) == min(q.m, lam + 1) + 1, q
-        else:  # outside the support the parked walk does not move
-            assert parked(q) == before, q
+        else:  # outside the support no walk is parked or moved
+            assert park() == before, q
+        assert_park_is_exact()
     for memo in EXPANSIONS:
         assert memo.cache_info().currsize <= homogeneous.SHAPE_MEMO_SIZE
-    assert len(homogeneous._parked) <= homogeneous.SHAPE_MEMO_SIZE
 
 
 def test_memo_evicts_least_recent_shape_and_recomputes_it():
@@ -564,7 +581,7 @@ def test_lambda_short_walk_with_many_faces_allocates_no_window_of_m():
         tracemalloc.stop()
     assert count == 4 == trace[-1].value
     assert moved == [4, 39, 2, 6]
-    assert len(homogeneous._parked[2, 39][1]) == 40
+    assert len(homogeneous._parked[2, 39, 38]) == 40
     assert peak < 64 * 1024  # a window of m zeros would take about 8 MB
     # no engine builds a die of m faces for a sum far below m
     for name, engine in ENGINES.items():
@@ -586,35 +603,60 @@ def test_lambda_trace_walks_afresh_past_a_parked_walk():
     for N in (30, 25, 12, 36):
         assert count_lambda_recurrence(HomoQuery(6, 6, N)) == count_closed_form(
             HomoQuery(6, 6, N))
+        before = park()
         assert lambda_recurrence_trace(q) == fresh, N
-    assert parked(q)[0] == 30  # the trace neither took nor moved the walk
+        assert park() == before, N  # the trace neither read nor moved a parked walk
+    # 6 walked afresh, and 30 from a copy of 24, which that move used
+    assert [key for key, _ in park()] == [(6, 6, 19), (6, 6, 6), (6, 6, 24), (6, 6, 30)]
+    assert_park_is_exact()
 
 
-def test_lambda_backward_move_crosses_a_full_window():
+def moves_recorded(monkeypatch):
+    """Wrap ``_lambda_walk`` so that each move is recorded as (from, to)."""
+    moves = []
+    walk = homogeneous._lambda_walk
+
+    def recording(n, m, start, to, steps=None):
+        moves.append((start[0], to))
+        return walk(n, m, start, to, steps)
+
+    monkeypatch.setattr(homogeneous, "_lambda_walk", recording)
+    return moves
+
+
+def test_lambda_backward_move_crosses_a_full_window(monkeypatch):
     clear_memos()
+    moves = moves_recorded(monkeypatch)
     n, m = 12, 5
 
     def counts(lam_lo, lam_hi):
         return [count_closed_form(HomoQuery(n, m, n + lam)) for lam in range(lam_lo, lam_hi + 1)]
 
     assert count_lambda_recurrence(HomoQuery(n, m, 50)) == counts(38, 38)[0]
-    assert parked(HomoQuery(n, m, 50)) == (38, counts(38 - m, 38))
-    for lam in (28, 27, 4):  # m + 5 steps, 1 step, then into the zeros below 0
+    assert parked(HomoQuery(n, m, 50)) == counts(38 - m, 38)
+    # m + 5 steps back, 1 step back, a fresh walk up to 7 (nearer than 27),
+    # then 3 steps back into the zeros below 0
+    for lam in (28, 27, 7, 4):
         q = HomoQuery(n, m, n + lam)
         assert count_lambda_recurrence(q) == count_closed_form(q), lam
         # each step back recomputed the oldest value, so the window is exact
-        assert parked(q) == (lam, [0] * (m - lam) + counts(max(lam - m, 0), lam)), lam
+        assert parked(q) == [0] * (m - lam) + counts(max(lam - m, 0), lam), lam
     assert count_lambda_recurrence(HomoQuery(n, m, 50)) == counts(38, 38)[0]
+    assert moves == [(0, 38), (38, 28), (28, 27), (0, 7), (7, 4), (38, 38)]
+    assert_park_is_exact()
 
 
-@pytest.mark.parametrize("N, fail_at", [(70, "step lam="), (40, "step back from lam=")])
-def test_lambda_remainder_parks_no_walk(monkeypatch, N, fail_at):
-    # the walk is parked at the other sum, then one step of the move to N,
-    # forward (70) or back (40), is made to leave a remainder
+@pytest.mark.parametrize("N, start, fail_at", [
+    pytest.param(70, 60, "step lam=", id="70-step lam="),
+    pytest.param(40, 50, "step back from lam=", id="40-step back from lam="),
+])
+def test_lambda_remainder_parks_no_walk(monkeypatch, N, start, fail_at):
+    # a walk is parked at a sum 10 from N, then one step of the move of its
+    # copy to N, forward (70) or back (40), is made to leave a remainder
     clear_memos()
-    shape = (20, 6)
-    start = HomoQuery(20, 6, 110 - N)
+    start = HomoQuery(20, 6, start)
     assert count_lambda_recurrence(start) == count_closed_form(start)
+    before = park()
     calls = itertools.count(1)
 
     def leaving_a_remainder(a, b):
@@ -626,6 +668,55 @@ def test_lambda_remainder_parks_no_walk(monkeypatch, N, fail_at):
         patch.setattr(homogeneous, "divmod", leaving_a_remainder, raising=False)
         with pytest.raises(homogeneous.DivisibilityError, match=fail_at):
             count_lambda_recurrence(q)
-    assert shape not in homogeneous._parked
+    # the failed move parked nothing and left the walk it copied as it was
+    assert park() == before
     assert count_lambda_recurrence(q) == count_closed_form(q)
-    assert parked(q)[0] == N - 20
+    assert [key for key, _ in park()] == [(20, 6, start.N - 20), (20, 6, N - 20)]
+    assert_park_is_exact()
+
+
+def test_lambda_alternating_sums_start_from_the_nearest_parked_walk(monkeypatch):
+    # one shape asked in turn near two sums far apart: after the first visit
+    # to each, every count moves a copy of a walk parked at most 6 away
+    clear_memos()
+    moves = moves_recorded(monkeypatch)
+    for d in (0, 3, -3, 1, -2, 2, -1, 3, -3):
+        for N in (270 + d, 426 + d):
+            q = HomoQuery(160, 7, N)
+            assert count_lambda_recurrence(q) == count_closed_form(q), N
+    steps = [abs(to - at) for at, to in moves]
+    assert len(steps) == 18 and max(steps[2:]) <= 6, steps
+    assert_park_is_exact()
+
+
+def test_lambda_threads_copy_parked_walks_safely():
+    # parked windows are read outside the lock: four threads that move one
+    # shape up and down through each other's walks all count exactly
+    clear_memos()
+    n, m = 40, 6
+    sums = range(n + m - 1, n * m + 1, 3)  # k = m for each
+    orders = [list(sums), list(reversed(sums)), [*sums[::2], *reversed(sums[1::2])],
+              [*reversed(sums[::2]), *sums[1::2]]]
+
+    def count_in_order(order):
+        return [(N, count_lambda_recurrence(HomoQuery(n, m, N))) for N in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(count_in_order, orders * 3, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for N, count in result:
+            assert count == count_closed_form(HomoQuery(n, m, N)), N
+    assert_park_is_exact()
+
+
+def test_lambda_refuses_a_window_it_cannot_index():
+    # k + 1 = 1.5 * 10**30 counts: refused before any list is built
+    q = HomoQuery(3, 10**30, 15 * 10**29)
+    for walk in (count_lambda_recurrence, lambda_recurrence_trace):
+        with pytest.raises(ValueError, match="lambda window of k\\+1 counts"):
+            walk(q)
