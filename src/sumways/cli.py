@@ -19,6 +19,12 @@ printed, except that an oracle whose outcome space exceeds a valid
 --oracle-budget exits 2 after the counts are printed. JSON output carries
 counts as decimal strings and round-trips through json.loads.
 
+The table and distribution replies are rendered from %d templates: one
+template of %d fields per table row, applied row by row, and one per
+distribution reply, applied to all its values at once. A %d field writes
+a count's digits straight into the reply, with no string object per
+count; the JSON templates are built from the row and entry layouts below.
+
 Each bad input is refused in one place. argparse refuses a missing or
 malformed option; the library refuses a bad value at the public type or
 function the question enters through, such as HomoQuery, MarkedDie,
@@ -41,6 +47,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import chain
 
 from .golden import GOLDEN_TABLE_IDS, VerifyReport, verify_against_paper
 from .heterogeneous import (
@@ -156,14 +163,16 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     table = count_table_add_die(args.faces, args.max_dice, args.max_sum)
-    rows = enumerate(table[1:], 1)
+    fields = ["%d"] * args.max_dice
     if args.format == "json":
-        cells = '",\n        "'.join
-        lines = [_TABLE_ROW_JSON % (N, cells(map(str, row))) for N, row in rows]
+        row = _TABLE_ROW_JSON.replace("%s", '",\n        "'.join(fields))
+    else:
+        row = "%d," + ",".join(fields)
+    lines = [row % (N, *counts) for N, counts in enumerate(table[1:], 1)]
+    if args.format == "json":
         print(_TABLE_JSON % (args.faces, args.max_dice, args.max_sum, ",\n".join(lines)))
     else:
         head = "N," + ",".join("n=%d" % n for n in range(1, args.max_dice + 1))
-        lines = ["%d,%s" % (N, ",".join(map(str, row))) for N, row in rows]
         print("\n".join([head, *lines]))
     return 0
 
@@ -184,15 +193,16 @@ def cmd_hetero(args) -> int:
         return 0
     dist = hetero_distribution(pool)
     total = pool.outcome_count
+    values = tuple(chain.from_iterable(dist))
     if args.format == "plain":
-        lines = ["%d %d" % ec for ec in dist]
-        print("\n".join([*lines, "total %d" % total]))
+        print("\n".join(["%d %d"] * len(dist)) % values)
+        print("total %d" % total)
     elif args.format == "json":
-        lines = [_DIST_ENTRY_JSON % ec for ec in dist]
-        print(_DIST_JSON % (_dice_json(pool), total, ",\n".join(lines)))
+        lines = ",\n".join([_DIST_ENTRY_JSON] * len(dist)) % values
+        print(_DIST_JSON % (_dice_json(pool), total, lines))
     else:
-        lines = ["%d,%d" % ec for ec in dist]
-        print("\n".join(["sum,count", *lines, "total,%d" % total]))
+        print("\n".join(["sum,count", *["%d,%d"] * len(dist)]) % values)
+        print("total,%d" % total)
     return 0
 
 

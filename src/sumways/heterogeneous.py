@@ -6,7 +6,15 @@ allowed; a duplicated mark counts twice); a die written lo..hi keeps the
 number of ordered outcomes summing to N is the coefficient of x^N in the
 product of the dice polynomials sum of x^mark.
 
-Two engines:
+The full distribution, ``hetero_distribution``, is one product up to the
+largest sum. A die is symmetric when its sorted marks pair up, first with
+last, second with second to last and so on, to one sum: every ``range`` is,
+and (0, 1, 1, 2) and (3, 3) are. A pool of symmetric dice has a symmetric
+distribution, so only its lower half, up to the midpoint of the least and
+greatest sums, is expanded, and the upper half is read off it as a mirror.
+A pool with any other die is expanded in full.
+
+Two engines for one sum:
 
 ``hetero_count_product``
     multiply the dice polynomials with ``series.marks_product``, the packed
@@ -24,6 +32,7 @@ Two engines:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import sub
 
@@ -87,13 +96,42 @@ def hetero_count_product(pool: DicePool, N: int) -> Count:
     return marks_product([die.marks for die in pool.dice], N)[N]
 
 
+def _symmetric(marks: tuple[int, ...] | range) -> bool:
+    """Whether a die is its own reflection v -> least + greatest - v: its
+    sorted marks pair up, first with last and so on, to one sum. A range
+    always is."""
+    if isinstance(marks, range):
+        return True
+    ordered = sorted(marks)
+    pair = ordered[0] + ordered[-1]
+    return all(a + b == pair for a, b in zip(ordered, reversed(ordered)))
+
+
 def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
     """All achievable sums with their counts, ascending.
 
     The counts add up to the number of outcomes (the product of the face
-    counts).
+    counts). When every die is symmetric, so is the distribution: with low
+    and top the least and greatest sums, the count at e equals the count at
+    low + top - e. Such a pool is expanded up to (low + top) // 2 only and
+    the rest is its mirror; a pool with any asymmetric die is expanded up
+    to top. A list of top + 1 counts past sys.maxsize cannot be indexed, so
+    it is refused before anything is built.
     """
-    counts = marks_product([die.marks for die in pool.dice], _top(pool))
+    marks = [die.marks for die in pool.dice]
+    top = _top(pool)
+    if top + 1 > sys.maxsize:
+        raise ValueError(
+            "too many sums to list: the distribution of top+1 counts, top of %d bits,"
+            " cannot be indexed" % top.bit_length()
+        )
+    if all(map(_symmetric, dict.fromkeys(marks))):
+        low = sum(min(mark_ends(m)) for m in marks)
+        mid = (low + top) // 2
+        counts = marks_product(marks, mid)
+        counts += reversed(counts[low : low + top - mid])
+    else:
+        counts = marks_product(marks, top)
     return [(e, c) for e, c in enumerate(counts) if c]
 
 

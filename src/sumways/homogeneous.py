@@ -158,7 +158,8 @@ def count_table_add_die(m: int, n_max: int, N_max: int) -> tuple[tuple[int, ...]
     to N. Rows run N = 0..N_max (row 0 is all zeros; it makes the
     recurrence uniform), columns n = 1..n_max. Column n sums to m^n
     whenever N_max >= m*n, and each column is symmetric about
-    N = n*(m+1)/2.
+    N = n*(m+1)/2. A column of N_max+1 counts past sys.maxsize cannot be
+    indexed, so it is refused before anything is built.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("need at least one face")
@@ -166,6 +167,11 @@ def count_table_add_die(m: int, n_max: int, N_max: int) -> tuple[tuple[int, ...]
         raise ValueError("need at least one column")
     if not isinstance(N_max, int) or N_max < 1:
         raise ValueError("need at least one row")
+    if N_max + 1 > sys.maxsize:
+        raise ValueError(
+            "too many rows to tabulate: a column of N_max+1 counts, N_max of %d bits,"
+            " cannot be indexed" % N_max.bit_length()
+        )
     return tuple(zip(*_add_die_columns(m, n_max, N_max)))
 
 

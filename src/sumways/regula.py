@@ -50,13 +50,20 @@ class LinearSystem2:
 
 def rv_count_solutions(sys: LinearSystem2) -> Count:
     """Number of solutions in the system's domain. Infeasible is 0, never
-    an exception."""
+    an exception. The lattice has v+1 columns of n+1 cells, the targets
+    taken after the positive-mode shift; a side past sys.maxsize cannot be
+    indexed, so it is refused before anything is built."""
     n, v = sys.targets
     if sys.mode == "positive":
         n -= sum(a for a, _ in sys.generators)
         v -= sum(b for _, b in sys.generators)
         if n < 0 or v < 0:
             return 0
+    if max(n, v) + 1 > maxsize:
+        raise ValueError(
+            "targets too large to count: a lattice of n+1 by v+1 cells, the larger"
+            " side of %d bits, cannot be indexed" % max(n, v).bit_length()
+        )
     return inverse_product_grid(sys.generators, (n, v))[v][n]
 
 

@@ -97,6 +97,26 @@ def test_count_lambda_refuses_a_window_it_cannot_index(run_cli):
                    " k of 100 bits, cannot be indexed\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("table", "--faces", "6", "--max-dice", "2", "--max-sum", str(10**30)),
+         "too many rows to tabulate: a column of N_max+1 counts, N_max of 100 bits,"),
+        (("hetero", "--die", "1,%d" % 10**30, "--die", "2,3"),
+         "too many sums to list: the distribution of top+1 counts, top of 100 bits,"),
+        (("virgins", "--gen", "1:1", "--targets", "%d:1" % 10**30),
+         "targets too large to count: a lattice of n+1 by v+1 cells, the larger side"
+         " of 100 bits,"),
+    ],
+    ids=["table", "hetero", "virgins"],
+)
+def test_a_reply_that_cannot_be_indexed_is_refused(run_cli, argv, message):
+    # each list's length is checked against sys.maxsize before it is built
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == "error: %s cannot be indexed\n" % message
+
+
 def test_count_oracle_budget_too_small(run_cli):
     code, _, err = run_cli(
         "count", "--dice", "5", "--faces", "6", "--sum", "18",

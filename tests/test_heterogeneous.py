@@ -1,10 +1,14 @@
+import inspect
 import random
+import textwrap
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sumways import heterogeneous
 from sumways.heterogeneous import (
     DicePool,
     MarkedDie,
@@ -180,16 +184,103 @@ def test_matches_homogeneous_engines():
                 assert hetero_count_product(pool, N) == count_poly(HomoQuery(n, m, N))
 
 
-def test_distribution_total_and_symmetry():
+def routed_distribution(pool):
+    """Every sum's count by a route that shares no code with the mirror: the
+    closed form for dice marked 1..m, the oracle for any other pool."""
+    faces = [len(d.marks) for d in pool.dice]
+    if all(d.marks == range(1, m + 1) for d, m in zip(pool.dice, faces)):
+        count = partial(hetero_count_closed_form, tuple(faces))
+    else:
+        count = partial(brute_dice, pool)
+    top = sum(max(d.marks) for d in pool.dice)
+    return {N: c for N in range(top + 2) if (c := count(N))}
+
+
+def symmetric_die(rng):
+    """Random marks that pair up, first with last and so on, to one sum."""
+    pair = rng.randint(0, 9)
+    half = [rng.randint(0, pair) for _ in range(rng.randint(1, 3))]
+    middle = [pair // 2] if pair % 2 == 0 and rng.random() < 0.5 else []
+    marks = half + middle + [pair - v for v in half]
+    rng.shuffle(marks)
+    return tuple(marks)
+
+
+def distribution_cases():
+    """Pools for the mirror: dice marked 1..m, symmetric tuple dice, stepped
+    and reversed ranges, and pools mixing symmetric and asymmetric dice."""
     rng = random.Random(22)
-    for _ in range(20):
-        faces = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 4)))
-        pool = consecutive_pool(faces)
-        dist = dict(hetero_distribution(pool))
-        assert sum(dist.values()) == pool.outcome_count
-        mirror = sum(m + 1 for m in faces)
-        for N, c in dist.items():
-            assert dist.get(mirror - N) == c, (faces, N)
+    pools = [consecutive_pool(tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 4))))
+             for _ in range(20)]
+    specs = [
+        # symmetric tuple dice, low = 0 among them
+        [(0, 1, 1, 2)], [(3, 3)], [(0, 1, 1, 2), (3, 3)], [(0, 2, 4), (1, 4, 6, 9)],
+        # stepped and reversed ranges
+        [range(0, 12, 3), range(9, 0, -2)], [range(9, 0, -2), range(2, 5), (0, 1, 1, 2)],
+        # odd (2..12) and even (2..11) support lengths
+        [range(1, 7), range(1, 7)], [range(1, 7), range(1, 6)],
+        # single-face pools, at 0 and above it
+        [(0,)], [(5,)], [range(4, 5), (7,)], [range(1, 2)] * 3,
+        # symmetric and asymmetric dice mixed, low = 0 too
+        [(0, 1, 5), range(1, 4)], [(0, 1, 1, 2), (0, 1, 5)], [range(0, 4), (2, 3, 3)],
+        [(0, 0, 1)], [(3, 3), (1, 2, 2)],
+    ]
+    pools += [DicePool(tuple(map(MarkedDie, dice))) for dice in specs]
+    pools += [DicePool(tuple(MarkedDie(symmetric_die(rng)) for _ in range(rng.randint(1, 3))))
+              for _ in range(20)]
+    return pools
+
+
+def mirror_failures(distribution):
+    """The pools on which ``distribution`` disagrees with the routed counts."""
+    return [pool for pool in distribution_cases()
+            if dict(distribution(pool)) != routed_distribution(pool)]
+
+
+def test_distribution_total_and_symmetry(monkeypatch):
+    # every sum of every case equals the routed count, and a pool whose
+    # dice all equal their reflection v -> least + greatest - v is expanded
+    # to the midpoint of its support only, any other pool to its top
+    bounds = []
+    real = heterogeneous.marks_product
+
+    def spy(marks, bound):
+        bounds.append(bound)
+        return real(marks, bound)
+
+    monkeypatch.setattr(heterogeneous, "marks_product", spy)
+    assert mirror_failures(hetero_distribution) == []
+    cases = distribution_cases()
+    assert len(bounds) == len(cases)
+    mirrored = 0
+    for pool, bound in zip(cases, bounds):
+        ends = [(min(d.marks), max(d.marks)) for d in pool.dice]
+        low, top = sum(lo for lo, _ in ends), sum(hi for _, hi in ends)
+        if all(sorted(lo + hi - v for v in d.marks) == sorted(d.marks)
+               for d, (lo, hi) in zip(pool.dice, ends)):
+            assert bound == (low + top) // 2, pool
+            mirrored += 1
+        else:
+            assert bound == top, pool
+        assert sum(routed_distribution(pool).values()) == pool.outcome_count
+    assert mirrored >= 40 and len(cases) - mirrored >= 5
+
+
+def test_a_mirror_shifted_by_one_fails_the_distribution_check():
+    # a seeded mutant: the upper half read one sum too high
+    source = textwrap.dedent(inspect.getsource(heterogeneous.hetero_distribution))
+    mirror = "counts[low : low + top - mid]"
+    assert source.count(mirror) == 1
+    namespace = dict(vars(heterogeneous))
+    exec(source.replace(mirror, "counts[low + 1 : low + 1 + top - mid]"), namespace)
+    assert len(mirror_failures(namespace["hetero_distribution"])) >= 20
+
+
+def test_distribution_refuses_a_list_it_cannot_index():
+    pool = DicePool((MarkedDie((1, 10**30)), MarkedDie((2, 3))))
+    with pytest.raises(ValueError, match="distribution of top\\+1 counts, top of 100 bits"):
+        hetero_distribution(pool)
+    assert hetero_count_product(pool, 5) == 0
 
 
 def test_product_agrees_with_oracle_on_odd_pools():

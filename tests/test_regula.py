@@ -170,3 +170,15 @@ def test_enumeration_matches_brute_force_under_any_cap(gens, n, v, mode, cap):
     sols, truncated = rv_enumerate_solutions(sys, cap)
     assert sols == every[:cap]
     assert truncated == (len(every) > cap)
+
+
+def test_count_refuses_a_lattice_it_cannot_index():
+    # the sides are priced after the positive-mode shift: a shift below 0
+    # is 0 at once, and one that leaves a side past sys.maxsize is refused
+    for targets in ((10**30, 1), (1, 10**30)):
+        with pytest.raises(ValueError, match="larger side of 100 bits, cannot be indexed"):
+            rv_count_solutions(LinearSystem2(((1, 1),), targets))
+    huge = 10**30 + 1
+    with pytest.raises(ValueError, match="larger side of 100 bits"):
+        rv_count_solutions(LinearSystem2(((1, 1),), (huge, 2), "positive"))
+    assert rv_count_solutions(LinearSystem2(((1, 1),), (0, huge), "positive")) == 0
