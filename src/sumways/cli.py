@@ -39,7 +39,9 @@ option strings, each followed by one value that does not start with "-",
 flags by none) is read on a fast path from that subcommand parser's own
 actions, types, choices and defaults; every other line, and every line
 that fails a check, is parsed whole by argparse, so argparse alone defines
-the grammar, the help text and every error message.
+the grammar, the help text and every error message. The values of a
+repeatable option (``--die``, ``--gen``) are collected on the fast path and
+stored once per line, not copied into a new list per use.
 """
 
 from __future__ import annotations
@@ -117,11 +119,11 @@ _MISMATCH_JSON = (
 def _dice_json(pool: DicePool) -> str:
     """The pool's marks as a JSON list of lists, indented as a top-level value.
 
-    Each distinct marks tuple is rendered once; a repeated die reuses it.
+    Each of the pool's shapes is rendered once; a repeated die reuses it.
     """
     rendered = {
         marks: "    [\n      %s\n    ]" % ",\n      ".join(map(str, marks))
-        for marks in dict.fromkeys(die.marks for die in pool.dice)
+        for marks in pool.shapes
     }
     return "[\n%s\n  ]" % ",\n".join(rendered[die.marks] for die in pool.dice)
 
@@ -473,13 +475,14 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 
 @functools.cache
-def _fast_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set]:
+def _fast_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set, set]:
     """What the fast path needs of one subcommand's parser, read once.
 
     Each whole option string whose action takes one value or none, mapped
     to that action; the values argparse starts the namespace with (action
-    defaults first, then ``set_defaults``); and the required actions. Help
-    is left out, so ``-h`` sends the line to argparse.
+    defaults first, then ``set_defaults``); the required actions; and the
+    ``append`` actions. Help is left out, so ``-h`` sends the line to
+    argparse.
     """
     options, defaults = {}, {}
     for action in command._actions:
@@ -491,7 +494,8 @@ def _fast_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set]:
     for dest, value in command._defaults.items():
         defaults.setdefault(dest, value)
     required = {action for action in command._actions if action.required}
-    return options, defaults, required
+    appends = {a for a in options.values() if type(a) is argparse._AppendAction}
+    return options, defaults, required, appends
 
 
 def _parse_fast(
@@ -502,14 +506,17 @@ def _parse_fast(
     Each token must be a whole option string; a flag takes no value and
     any other option exactly one, which must not start with "-". Values
     are converted by the action's type, checked against its choices and
-    stored by calling the action itself, as argparse does. Anything else
+    stored by calling the action itself, as argparse does, except that the
+    values of an ``append`` option (``--die``, ``--gen``) are collected and
+    stored once, after a copy of its default, where argparse's action
+    would copy the whole list on every use. Anything else
     (an unknown, abbreviated or ``--opt=value`` token, ``-h``, a missing or
     dash-led value, a failed conversion or choice, a missing required
     option) returns None, and argparse reads the line.
     """
-    options, defaults, required = _fast_table(command)
+    options, defaults, required, appends = _fast_table(command)
     args = argparse.Namespace(command=name, **defaults)
-    seen = set()
+    seen, appended = set(), {}
     tokens = iter(tokens)
     for token in tokens:
         action = options.get(token)
@@ -529,7 +536,12 @@ def _parse_fast(
                 return None
         if action.choices is not None and value not in action.choices:
             return None
-        action(command, args, value, token)
+        if action in appends:
+            appended.setdefault(action.dest, []).append(value)
+        else:
+            action(command, args, value, token)
+    for dest, values in appended.items():
+        setattr(args, dest, [*(getattr(args, dest) or ()), *values])
     return args if required <= seen else None
 
 

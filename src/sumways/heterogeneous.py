@@ -6,6 +6,11 @@ allowed; a duplicated mark counts twice); a die written lo..hi keeps the
 number of ordered outcomes summing to N is the coefficient of x^N in the
 product of the dice polynomials sum of x^mark.
 
+A pool groups its equal dice once, when it is made, into one map of die
+shapes, {marks: copies}. The map gives the least and greatest sums, the
+symmetry test and the outcome count shape by shape, and it goes whole to
+``series.marks_product``.
+
 The full distribution, ``hetero_distribution``, is one product up to the
 largest sum. A die is symmetric when its sorted marks pair up, first with
 last, second with second to last and so on, to one sum: every ``range`` is,
@@ -19,7 +24,8 @@ Two engines for one sum:
 ``hetero_count_product``
     multiply the dice polynomials with ``series.marks_product``, the packed
     accumulator that takes each die as shifted adds, and read the
-    coefficient. Works for any marks.
+    coefficient. Works for any marks. A sum above the midpoint of a pool of
+    symmetric dice is folded to its mirror first.
 
 ``hetero_count_closed_form``
     for dice marked 1..m_i only: expand the product of (1 - x^(m_i)) on a
@@ -33,7 +39,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from operator import sub
 
 from .series import Count, mark_ends, marks_product
@@ -59,18 +66,23 @@ class MarkedDie:
 
 @dataclass(frozen=True)
 class DicePool:
+    """A pool of dice. Equal dice are grouped once, when the pool is made,
+    into ``shapes``, {marks: copies} in order of first appearance."""
+
     dice: tuple[MarkedDie, ...]
+    shapes: dict[tuple[int, ...] | range, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.dice:
             raise ValueError("a pool needs at least one die")
+        shapes = {}
+        for die in self.dice:
+            shapes[die.marks] = shapes.get(die.marks, 0) + 1
+        object.__setattr__(self, "shapes", shapes)
 
     @property
     def outcome_count(self) -> int:
-        total = 1
-        for d in self.dice:
-            total *= len(d.marks)
-        return total
+        return math.prod(map(pow, map(len, self.shapes), self.shapes.values()))
 
 
 def consecutive_pool(face_counts: tuple[int, ...]) -> DicePool:
@@ -78,22 +90,14 @@ def consecutive_pool(face_counts: tuple[int, ...]) -> DicePool:
     return DicePool(tuple(MarkedDie(range(1, m + 1)) for m in face_counts))
 
 
-def _top(pool: DicePool) -> int:
-    """The largest sum the pool can throw."""
-    return sum(max(mark_ends(die.marks)) for die in pool.dice)
-
-
-def hetero_count_product(pool: DicePool, N: int) -> Count:
-    """Ordered outcomes of the pool summing to N, by polynomial product.
-
-    The product is truncated at N. A sum past the support reads 0 at once,
-    so no slot mask is ever wider than the product itself.
-    """
-    if N < 0:
-        raise ValueError("target sum must be nonnegative")
-    if N > _top(pool):
-        return 0
-    return marks_product([die.marks for die in pool.dice], N)[N]
+def _support(pool: DicePool) -> tuple[int, int]:
+    """The least and the greatest sum the pool can throw."""
+    low = top = 0
+    for marks, copies in pool.shapes.items():
+        ends = mark_ends(marks)
+        low += min(ends) * copies
+        top += max(ends) * copies
+    return low, top
 
 
 def _symmetric(marks: tuple[int, ...] | range) -> bool:
@@ -104,7 +108,30 @@ def _symmetric(marks: tuple[int, ...] | range) -> bool:
         return True
     ordered = sorted(marks)
     pair = ordered[0] + ordered[-1]
-    return all(a + b == pair for a, b in zip(ordered, reversed(ordered)))
+    return [pair - v for v in reversed(ordered)] == ordered
+
+
+def hetero_count_product(pool: DicePool, N: int) -> Count:
+    """Ordered outcomes of the pool summing to N, by polynomial product.
+
+    A sum outside the support low..top reads 0 at once. When every die is
+    symmetric, so is the distribution, and a sum above the midpoint is
+    folded to its mirror low + top - N; a pool with any asymmetric die is
+    not folded. The product of the pool's shapes is then truncated at the
+    sum. A list of N+1 counts past sys.maxsize cannot be indexed, so such
+    a sum is refused before anything is expanded.
+    """
+    if N < 0:
+        raise ValueError("target sum must be nonnegative")
+    low, top = _support(pool)
+    if N < low or N > top:
+        return 0
+    if 2 * N > low + top and all(map(_symmetric, pool.shapes)):
+        N = low + top - N
+    if N + 1 > sys.maxsize:
+        raise ValueError("sum too large to count: a product of N+1 counts, N of %d bits,"
+                         " cannot be indexed" % N.bit_length())
+    return marks_product(pool.shapes, N)[N]
 
 
 def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
@@ -115,24 +142,23 @@ def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
     and top the least and greatest sums, the count at e equals the count at
     low + top - e. Such a pool is expanded up to (low + top) // 2 only and
     the rest is its mirror; a pool with any asymmetric die is expanded up
-    to top. A list of top + 1 counts past sys.maxsize cannot be indexed, so
-    it is refused before anything is built.
+    to top. Each is one product of the pool's shapes. A list of top + 1
+    counts past sys.maxsize cannot be indexed, so it is refused before
+    anything is built.
     """
-    marks = [die.marks for die in pool.dice]
-    top = _top(pool)
+    low, top = _support(pool)
     if top + 1 > sys.maxsize:
         raise ValueError(
             "too many sums to list: the distribution of top+1 counts, top of %d bits,"
             " cannot be indexed" % top.bit_length()
         )
-    if all(map(_symmetric, dict.fromkeys(marks))):
-        low = sum(min(mark_ends(m)) for m in marks)
+    if all(map(_symmetric, pool.shapes)):
         mid = (low + top) // 2
-        counts = marks_product(marks, mid)
+        counts = marks_product(pool.shapes, mid)
         counts += reversed(counts[low : low + top - mid])
     else:
-        counts = marks_product(marks, top)
-    return [(e, c) for e, c in enumerate(counts) if c]
+        counts = marks_product(pool.shapes, top)
+    return list(compress(enumerate(counts), counts))
 
 
 def _merged_numerator(face_counts: tuple[int, ...], limit: int) -> dict[int, int]:

@@ -111,7 +111,7 @@ SHAPE_MEMO_SIZE = 32
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def _die_power(n: int, m: int, window: int) -> tuple[Count, ...]:
     # a face above the window is part of no sum the window keeps
-    return tuple(marks_product([range(1, min(m, window) + 1)] * n, window))
+    return tuple(marks_product({range(1, min(m, window) + 1): n}, window))
 
 
 def count_poly(q: HomoQuery) -> Count:
@@ -136,13 +136,17 @@ def _add_die_columns(m: int, n_max: int, N_max: int):
     m. The walk starts from no dice at all, (N)(0) = 1 at N = 0 only. A
     shift past N_max leaves only zeros in the window, so the shift is cut
     at N_max + 1: faces past N_max reach no sum the columns keep, and a
-    huge m builds no huge run of zeros.
+    huge m builds no huge run of zeros. n dice sum to at least n, so every
+    column past n = N_max is all zeros: at most N_max columns are walked,
+    and the rest are one list of zeros.
     """
     col = [1] + [0] * N_max
     shift = min(m, N_max + 1)
-    for _ in range(n_max):
+    for _ in range(min(n_max, N_max)):
         col = [0, *islice(accumulate(map(sub, col, chain(repeat(0, shift), col))), N_max)]
         yield col
+    if n_max > N_max:
+        yield from repeat([0] * (N_max + 1), n_max - N_max)
 
 
 def count_table_add_die(m: int, n_max: int, N_max: int) -> tuple[tuple[int, ...], ...]:
@@ -158,8 +162,9 @@ def count_table_add_die(m: int, n_max: int, N_max: int) -> tuple[tuple[int, ...]
     to N. Rows run N = 0..N_max (row 0 is all zeros; it makes the
     recurrence uniform), columns n = 1..n_max. Column n sums to m^n
     whenever N_max >= m*n, and each column is symmetric about
-    N = n*(m+1)/2. A column of N_max+1 counts past sys.maxsize cannot be
-    indexed, so it is refused before anything is built.
+    N = n*(m+1)/2. A column of N_max+1 counts or a row of n_max counts
+    past sys.maxsize cannot be indexed, so it is refused before anything
+    is built.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("need at least one face")
@@ -172,6 +177,9 @@ def count_table_add_die(m: int, n_max: int, N_max: int) -> tuple[tuple[int, ...]
             "too many rows to tabulate: a column of N_max+1 counts, N_max of %d bits,"
             " cannot be indexed" % N_max.bit_length()
         )
+    if n_max > sys.maxsize:
+        raise ValueError("too many columns to tabulate: a row of n_max counts, n_max of"
+                         " %d bits, cannot be indexed" % n_max.bit_length())
     return tuple(zip(*_add_die_columns(m, n_max, N_max)))
 
 

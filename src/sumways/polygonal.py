@@ -65,7 +65,7 @@ def ordered_representation_counts(m: int, k: int, bound: int) -> list[int]:
     if not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive int")
     parts = _polygonal_numbers(m, bound)
-    return marks_product([parts] * k, bound)
+    return marks_product({parts: k}, bound)
 
 
 def check_all_positive(counts: list[int], upto: int) -> int | None:

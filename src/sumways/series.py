@@ -3,12 +3,13 @@
 Products of "die" polynomials, each a sum of x^mark over a multiset of
 nonnegative marks, are ``marks_product``: one packed accumulator, a big
 integer with one coefficient per fixed-width slot, starts at 1 and takes
-every die as shifted adds. Equal dice are one shape, whose runs of marks
-are found once and whose copies are applied in a row, shapes with the
-fewest faces first. A die lo..hi stays the ``range`` it was written as,
-and its one run is read from the range's ends. Like dice, unlike dice and
-powers of the polygonal series are all such products, truncated at a
-target.
+every die as shifted adds. Callers hand it die shapes with their copies,
+``{marks: copies}``; each shape's runs of marks are found once and its
+copies are applied in a row, shapes with the fewest faces first, under
+one mask built once at the final limit. A die lo..hi stays the ``range``
+it was written as, and its one run is read from the range's ends. Like
+dice, unlike dice and powers of the polygonal series are all such
+products, truncated at a target.
 
 The two-variable lattice kernel, ``inverse_product_grid``, returns the
 columns its walk built, one list over the first variable for each power of
@@ -24,7 +25,7 @@ import struct
 from collections import Counter
 from itertools import accumulate, repeat
 from operator import add
-from typing import Sequence
+from typing import Mapping, Sequence
 
 Count = int
 
@@ -97,53 +98,54 @@ def _unpack(packed: int, n: int, width: int) -> list[int]:
     return list(map(int.from_bytes, fields, repeat("little")))
 
 
-def marks_product(factors: Sequence[Sequence[int]], bound: int) -> list[int]:
-    """Coefficients at x^0..x^bound of the product over factors of the sum
-    of x^mark over each factor's marks.
+def marks_product(
+    shapes: Mapping[tuple[int, ...] | range, int], bound: int
+) -> list[int]:
+    """Coefficients at x^0..x^bound of the product over die shapes of the
+    sum of x^mark over the shape's marks, raised to its copies.
 
-    Each factor is a nonempty collection of nonnegative marks; a repeated
-    mark counts once per time it appears. The product lives on one packed
-    accumulator, a big integer with one coefficient per slot. The slot
-    width is fixed once, from the product of the factors' lengths: every
-    coefficient of every partial product counts some of those outcomes, so
-    none exceeds it and no slot carries into the next. A ``range`` factor
-    is kept as it is and any other is taken as the tuple of its marks;
-    equal ones are one die shape: its runs of consecutive marks of equal
-    multiplicity are found once, and all its copies are applied in a row,
-    the shapes with the fewest faces first (each die costs in proportion
-    to the accumulator it meets, which every face widens). The accumulator
+    Each shape is a nonempty tuple or ``range`` of nonnegative marks; a
+    repeated mark counts once per time it appears. The product lives on
+    one packed accumulator, a big integer with one coefficient per slot.
+    The slot width is fixed once, from the number of outcomes, the product
+    of each shape's faces to its copies: every coefficient of every
+    partial product counts some of those outcomes, so none exceeds it and
+    no slot carries into the next. Exponents are kept relative to the
+    least marks, so the product is cut at one final limit, the bound less
+    every least mark times its copies, with one mask built once: the dice
+    still to come only add nonnegative exponents, so a slot past the limit
+    never comes back below it. Each shape's runs of consecutive marks of
+    equal multiplicity are found once and its copies applied in a row, the
+    shapes with the fewest faces first (each die costs in proportion to
+    the accumulator it meets, which every face widens). The accumulator
     starts at 1, and each die is applied as shifted adds, one run at a
     time: a run lo..lo+len-1 of multiplicity c multiplies the accumulator
-    by c * x^lo * (1 + x + ... + x^(len-1)), built by doubling. Each die's
-    lowest mark is taken off the bound, and the accumulator keeps only the
-    slots up to what is left.
+    by c * x^lo * (1 + x + ... + x^(len-1)), built by doubling.
     """
-    outcomes = 1
-    shapes: dict[tuple[int, ...] | range, int] = {}
-    for marks in factors:
-        marks = marks if isinstance(marks, range) else tuple(marks)
-        outcomes *= len(marks)
-        shapes[marks] = shapes.get(marks, 0) + 1
+    outcomes, least, runs = 1, 0, {}
+    for marks in sorted(shapes, key=len):
+        runs[marks] = _runs(marks)
+        outcomes *= len(marks) ** shapes[marks]
+        least += runs[marks][0][0] * shapes[marks]
+    limit = bound - least
+    if limit < 0:
+        return [0] * (bound + 1)
     width = (outcomes.bit_length() + 7) // 8
     slot = 8 * width
-    acc, limit, top = 1, bound, 0
-    for marks in sorted(shapes, key=len):
-        runs = _runs(marks)
-        base = runs[0][0]
-        span = runs[-1][0] + runs[-1][1] - 1 - base
+    mask = (1 << (slot * (limit + 1))) - 1
+    acc, top = 1, 0
+    for marks, shape_runs in runs.items():
+        span = shape_runs[-1][0] + shape_runs[-1][1] - 1 - shape_runs[0][0]
         for _ in range(shapes[marks]):
-            limit -= base
-            if limit < 0:
-                return [0] * (bound + 1)
-            acc = _add_die(acc, runs, slot, limit)
-            # top: the accumulator's degree; a mask copies the whole
-            # accumulator, so it is taken only once the product reaches
+            acc = _add_die(acc, shape_runs, slot, limit)
+            # top: the accumulator's degree; the mask copies the whole
+            # accumulator, so it is applied only once the product reaches
             # past the limit
             top += span
             if top > limit:
-                acc &= (1 << (slot * (limit + 1))) - 1
+                acc &= mask
                 top = limit
-    return [0] * (bound - limit) + _unpack(acc, limit + 1, width)
+    return [0] * least + _unpack(acc, limit + 1, width)
 
 
 def inverse_product_grid(

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -107,14 +109,50 @@ def test_count_lambda_refuses_a_window_it_cannot_index(run_cli):
         (("virgins", "--gen", "1:1", "--targets", "%d:1" % 10**30),
          "targets too large to count: a lattice of n+1 by v+1 cells, the larger side"
          " of 100 bits,"),
+        (("table", "--faces", "6", "--max-dice", str(10**30), "--max-sum", "3"),
+         "too many columns to tabulate: a row of n_max counts, n_max of 100 bits,"),
+        (("hetero", "--die", "1,%d" % 10**30, "--die", "2,3", "--sum", str(10**29)),
+         "sum too large to count: a product of N+1 counts, N of 97 bits,"),
     ],
-    ids=["table", "hetero", "virgins"],
+    ids=["table", "hetero", "virgins", "table-columns", "hetero-sum"],
 )
 def test_a_reply_that_cannot_be_indexed_is_refused(run_cli, argv, message):
     # each list's length is checked against sys.maxsize before it is built
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert err == "error: %s cannot be indexed\n" % message
+
+
+def test_refusals_and_the_folded_sum_answer_at_once():
+    # in a child process under a timeout: before each fix the table walked
+    # 10**30 columns until killed, the sum ended in OverflowError and the
+    # folded sum in MemoryError
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    lines = [
+        ("table --faces 6 --max-dice %d --max-sum 3" % 10**30, 2, "cannot be indexed"),
+        ("hetero --die 1,%d --die 2,3 --sum %d" % (10**30, 10**29), 2, "cannot be indexed"),
+        ("hetero --die 1..100000000 --die 1..100000000 --sum 199999999", 0, ""),
+    ]
+    for line, code, message in lines:
+        done = subprocess.run([sys.executable, "-m", "sumways.cli", *line.split()],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert done.returncode == code, line
+        if code:
+            assert done.stdout == "" and message in done.stderr, line
+        else:
+            assert (done.stdout, done.stderr) == ("2\n", ""), line
+
+
+def test_table_walks_no_column_past_the_largest_sum(run_cli, monkeypatch):
+    # n dice sum to at least n, so columns past n = N_max are zeros, padded
+    walked = []
+    real = homogeneous.accumulate
+    monkeypatch.setattr(homogeneous, "accumulate", lambda it: walked.append(1) or real(it))
+    code, out, _ = run_cli("table", "--faces", "6", "--max-dice", "40", "--max-sum", "3")
+    assert code == 0 and len(walked) == 3
+    assert out.split("\n")[1:4] == ["1,1" + ",0" * 39, "2,1,1" + ",0" * 38,
+                                     "3,1,2,1" + ",0" * 37]
 
 
 def test_count_oracle_budget_too_small(run_cli):

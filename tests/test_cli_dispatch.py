@@ -190,3 +190,32 @@ def test_fast_path_takes_every_golden_line_argparse_accepts():
         parsed, _, _ = outcome(cli.build_parser().parse_args, argv)
         if isinstance(parsed, argparse.Namespace):
             assert fast(argv) == parsed, line
+
+
+def test_fast_path_appends_as_argparse_does():
+    # append values are stored once, after a copy of the default: the lists
+    # equal parse_args' own, for a None default and a list default alike
+    lines = [
+        "hetero --die 1..6",
+        "hetero " + " ".join("--die %d..%d" % (1, m) for m in range(1, 61)) + " --sum 9",
+        "virgins --gen 1:3 --targets 30:50 --gen 1:1 --gen 2:0",
+    ]
+    for line in lines:
+        argv = line.split()
+        parsed = cli.build_parser().parse_args(argv)
+        assert fast(argv) == parsed, line
+    parser = argparse.ArgumentParser(prog="demo")
+    sub = parser.add_subparsers(dest="command", required=True)
+    demo = sub.add_parser("demo")
+    default = ["a"]
+    demo.add_argument("--item", action="append", default=default)
+    demo.add_argument("--die", action="append")
+    demo.add_argument("--n", type=int, default=0)
+    for tokens in ([], ["--item", "b"], ["--item", "b", "--n", "3", "--item", "c"],
+                   ["--die", "x", "--item", "b", "--die", "y"]):
+        parsed = parser.parse_args(["demo", *tokens])
+        got = cli._parse_fast(demo, "demo", tokens)
+        assert got == parsed, tokens
+        assert default == ["a"]
+        if "--item" in tokens:
+            assert got.item is not default

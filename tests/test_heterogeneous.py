@@ -2,7 +2,9 @@ import inspect
 import random
 import textwrap
 import tracemalloc
+from collections import Counter
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -239,21 +241,23 @@ def mirror_failures(distribution):
 
 def test_distribution_total_and_symmetry(monkeypatch):
     # every sum of every case equals the routed count, and a pool whose
-    # dice all equal their reflection v -> least + greatest - v is expanded
-    # to the midpoint of its support only, any other pool to its top
-    bounds = []
+    # dice all equal their reflection v -> least + greatest - v is
+    # expanded to the midpoint of its support only, any other pool to its
+    # top, each as one product of the pool's {marks: copies} shapes
+    calls = []
     real = heterogeneous.marks_product
 
-    def spy(marks, bound):
-        bounds.append(bound)
-        return real(marks, bound)
+    def spy(shapes, bound):
+        calls.append((dict(shapes), bound))
+        return real(shapes, bound)
 
     monkeypatch.setattr(heterogeneous, "marks_product", spy)
     assert mirror_failures(hetero_distribution) == []
     cases = distribution_cases()
-    assert len(bounds) == len(cases)
+    assert len(calls) == len(cases)
     mirrored = 0
-    for pool, bound in zip(cases, bounds):
+    for pool, (shapes, bound) in zip(cases, calls):
+        assert shapes == Counter(d.marks for d in pool.dice), pool
         ends = [(min(d.marks), max(d.marks)) for d in pool.dice]
         low, top = sum(lo for lo, _ in ends), sum(hi for _, hi in ends)
         if all(sorted(lo + hi - v for v in d.marks) == sorted(d.marks)
@@ -314,3 +318,55 @@ def test_range_die_counts_as_its_marks(ranges, sums):
         want = brute_dice(as_tuple, N)
         assert brute_dice(as_range, N) == want
         assert hetero_count_product(as_range, N) == hetero_count_product(as_tuple, N) == want
+
+
+def reflects(marks):
+    """Whether the marks equal their reflection v -> least + greatest - v."""
+    ends = min(marks) + max(marks)
+    return sorted(ends - v for v in marks) == sorted(marks)
+
+
+# Symmetric dice (ranges of any step, and marks paired to one sum) and
+# asymmetric ones, drawn into pools of one kind or mixed.
+symmetric_marks = st.one_of(
+    die_ranges,
+    st.integers(0, 9).flatmap(lambda pair: st.lists(
+        st.integers(0, pair), min_size=1, max_size=3
+    ).map(lambda half: tuple(half + [pair - v for v in half]))),
+)
+asymmetric_marks = st.lists(st.integers(0, 9), min_size=2, max_size=5).map(tuple).filter(
+    lambda marks: not reflects(marks))
+pools_of_every_kind = st.one_of(
+    st.lists(symmetric_marks, min_size=1, max_size=4),
+    st.lists(asymmetric_marks, min_size=1, max_size=3),
+    st.lists(st.one_of(symmetric_marks, asymmetric_marks), min_size=2, max_size=4),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pools_of_every_kind, st.integers(0, 60))
+@example([range(1, 7), range(1, 9)], 9)
+@example([(0, 1, 1, 2), (3, 3), range(9, 0, -2)], 9)
+@example([(0, 1, 5), range(1, 4)], 6)
+@example([(0, 0, 1), (2, 3, 3), (1, 2, 2)], 2)
+def test_a_sum_and_its_mirror_match_the_oracle(dice, at):
+    # on both halves of the support; a pool of symmetric dice expands only
+    # up to the lower of a sum and its mirror, any other pool up to the sum
+    pool = DicePool(tuple(map(MarkedDie, dice)))
+    low = sum(min(marks) for marks in dice)
+    top = sum(max(marks) for marks in dice)
+    N = low + at % (top - low + 1)
+    symmetric = all(map(reflects, dice))
+    bounds = []
+    real = heterogeneous.marks_product
+
+    def spy(shapes, bound):
+        bounds.append(bound)
+        return real(shapes, bound)
+
+    with mock.patch.object(heterogeneous, "marks_product", spy):
+        for total in (N, low + top - N):
+            bounds.clear()
+            assert hetero_count_product(pool, total) == brute_dice(pool, total), total
+            folded = min(total, low + top - total) if symmetric else total
+            assert bounds == [folded], (total, symmetric)

@@ -1,3 +1,7 @@
+import inspect
+import textwrap
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -123,6 +127,11 @@ def test_hetero_distribution_matches_schoolbook(dice):
         assert hetero_count_product(pool, N) == want, N
 
 
+def shapes_of(factors):
+    """The {marks: copies} map of a list of factors, each a list of marks."""
+    return Counter(map(tuple, factors))
+
+
 def schoolbook_product(factors, bound):
     """Coefficients at x^0..x^bound of the product over factors of the sum
     of x^mark, by schoolbook products of the dense factor polynomials."""
@@ -164,7 +173,61 @@ def products(draw):
 @example(([[2, 3, 3, 4, 4, 5, 5]] * 2, 9))
 def test_marks_product_matches_schoolbook(product):
     factors, bound = product
-    assert marks_product(factors, bound) == schoolbook_product(factors, bound)
+    assert marks_product(shapes_of(factors), bound) == schoolbook_product(factors, bound)
+
+
+# Shapes whose least mark is above 0: any marks shifted up by 1 to 5, and
+# ranges of step 1 or more starting at 1 to 5.
+raised_marks = st.one_of(
+    st.builds(lambda marks, up: tuple(v + up for v in marks), die_marks, st.integers(1, 5)),
+    st.builds(lambda lo, n, step: range(lo, lo + n * step, step),
+              st.integers(1, 5), st.integers(1, 12), st.integers(1, 3)),
+)
+
+
+@st.composite
+def shape_products(draw):
+    """One to three shapes of one to three copies each, and a bound below,
+    at or above the sum of their least marks times their copies."""
+    shapes = draw(st.dictionaries(raised_marks, st.integers(1, 3), min_size=1, max_size=3))
+    least = sum(min(marks) * copies for marks, copies in shapes.items())
+    top = sum(max(marks) * copies for marks, copies in shapes.items())
+    bound = draw(st.one_of(st.integers(0, least - 1), st.just(least),
+                           st.integers(least, top + 3)))
+    return shapes, bound
+
+
+def expanded(shapes):
+    """Each shape's marks as a list, once per copy."""
+    return [list(marks) for marks, copies in shapes.items() for _ in range(copies)]
+
+
+@examples(150)
+@given(shape_products())
+@example(({(1, 2, 3): 3}, 2))
+@example(({(1, 2, 3): 3}, 3))
+@example(({(1, 2, 3): 3}, 5))
+@example(({range(2, 5): 2, (1, 1, 4): 1, (7,): 2}, 21))
+@example(({range(3, 12, 4): 3, (5, 6, 6): 2}, 30))
+def test_marks_product_of_shapes_matches_schoolbook(product):
+    shapes, bound = product
+    assert marks_product(shapes, bound) == schoolbook_product(expanded(shapes), bound)
+
+
+def test_a_mask_one_slot_short_fails_the_schoolbook_check():
+    # a seeded mutant: the one mask drops the slot at the final limit
+    source = textwrap.dedent(inspect.getsource(series.marks_product))
+    mask = "mask = (1 << (slot * (limit + 1))) - 1"
+    assert source.count(mask) == 1
+    namespace = dict(vars(series))
+    exec(source.replace(mask, "mask = (1 << (slot * limit)) - 1"), namespace)
+    mutant = namespace["marks_product"]
+    cases = [({(1, 2, 3): 3}, 5), ({range(2, 5): 2, (1, 1, 4): 1}, 9),
+             ({(0, 1): 4}, 2), ({range(1, 7): 3}, 10)]
+    for shapes, bound in cases:
+        want = schoolbook_product(expanded(shapes), bound)
+        assert marks_product(shapes, bound) == want
+        assert mutant(shapes, bound) != want, (shapes, bound)
 
 
 # Outcome counts at either side of the edge of a slot of w bytes: factor
@@ -185,11 +248,11 @@ def test_marks_product_at_slot_edges(lengths):
     for n in lengths:
         outcomes *= n
     # every outcome sums to 0: the whole count sits in the lowest slot
-    assert marks_product([[0] * n for n in lengths], 2) == [outcomes, 0, 0]
+    assert marks_product(shapes_of([0] * n for n in lengths), 2) == [outcomes, 0, 0]
     # one face of the first factor moved to 1 splits it over two slots
     factors = [[0] * (lengths[0] - 1) + [1]] + [[0] * n for n in lengths[1:]]
     want = [outcomes - outcomes // lengths[0], outcomes // lengths[0], 0]
-    assert marks_product(factors, 2) == want == schoolbook_product(factors, 2)
+    assert marks_product(shapes_of(factors), 2) == want == schoolbook_product(factors, 2)
 
 
 def test_marks_product_finds_runs_of_a_repeated_factor_once(monkeypatch):
@@ -203,12 +266,15 @@ def test_marks_product_finds_runs_of_a_repeated_factor_once(monkeypatch):
     monkeypatch.setattr(series, "_runs", counted_runs)
     die = (1, 2, 2, 5, 6)
     want = schoolbook_product([die] * 4, 30)
-    assert marks_product([die] * 4, 30) == want
+    assert marks_product({die: 4}, 30) == want
     assert len(calls) == 1
     calls.clear()
+    # a pool groups equal dice, distinct objects too, into one shape
     copies = [tuple(list(die)) for _ in range(4)]
     assert len(set(map(id, copies))) == 4
-    assert marks_product(copies, 30) == want
+    pool = DicePool(tuple(map(MarkedDie, copies)))
+    assert pool.shapes == {die: 4}
+    assert [c for _, c in hetero_distribution(pool)] == [c for c in want if c]
     assert len(calls) == 1
 
 
@@ -223,14 +289,18 @@ def test_marks_product_finds_runs_of_each_distinct_die_once(monkeypatch):
     monkeypatch.setattr(series, "_runs", counted_runs)
     a, b, c = (1, 1, 2, 3, 7), (0, 2, 4), (5, 6, 7, 8, 9, 10)
     # equal dice as distinct objects, interleaved with other dice
-    pool = [tuple(list(die)) for die in (a, b, a, b, c, a)]
-    assert pool[0] is not pool[2]
-    assert marks_product(pool, 40) == schoolbook_product(pool, 40)
+    dice = [tuple(list(die)) for die in (a, b, a, b, c, a)]
+    assert dice[0] is not dice[2]
+    pool = DicePool(tuple(map(MarkedDie, dice)))
+    assert pool.shapes == {a: 3, b: 2, c: 1}
+    want = schoolbook_product(dice, 40)
+    assert dict(hetero_distribution(pool)) == {e: n for e, n in enumerate(want) if n}
     assert len(calls) == 3
 
 
 def test_marks_product_dice_examples():
     d6 = range(1, 7)
-    assert marks_product([d6] * 3, 10)[10] == 27
-    assert marks_product([d6] * 4, 14)[14] == 146
-    assert marks_product([], 2) == [1, 0, 0]
+    assert marks_product({d6: 3}, 10)[10] == 27
+    assert marks_product({d6: 4}, 14)[14] == 146
+    assert marks_product({d6: 2, range(1, 4): 1}, 3) == [0, 0, 0, 1]
+    assert marks_product({}, 2) == [1, 0, 0]
