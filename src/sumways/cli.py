@@ -36,12 +36,21 @@ accepts 0 parts.
 
 One parser is built per process. A well-formed subcommand line (whole
 option strings, each followed by one value that does not start with "-",
-flags by none) is read on a fast path from that subcommand parser's own
-actions, types, choices and defaults; every other line, and every line
+flags by none) is read on a fast path, from a table each subcommand
+parser's store, store_true and append actions are read into once: option
+string to dest, type, choices and kind. The fast path converts and checks
+each value itself, writes it into one dict started from the parser's
+defaults, and makes the namespace once; every other line, and every line
 that fails a check, is parsed whole by argparse, so argparse alone defines
 the grammar, the help text and every error message. The values of a
 repeatable option (``--die``, ``--gen``) are collected on the fast path and
 stored once per line, not copied into a new list per use.
+
+Die specs are parsed once per process: ``parse_die_spec`` remembers the
+MarkedDie of each of the last DIE_SPEC_MEMO_SIZE spec texts it read, so a
+pool that repeats a spec, or a request that repeats an earlier one's,
+parses it once. A bad spec is refused on every call, since no error is
+remembered.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import chain
+from itertools import compress
 
 from .golden import GOLDEN_TABLE_IDS, VerifyReport, verify_against_paper
 from .heterogeneous import (
@@ -57,7 +66,7 @@ from .heterogeneous import (
     MarkedDie,
     consecutive_pool,
     hetero_count_product,
-    hetero_distribution,
+    hetero_counts,
 )
 from .homogeneous import ENGINES, DivisibilityError, HomoQuery, count_table_add_die
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, brute_dice, check_budget
@@ -70,8 +79,18 @@ from .polygonal import (
 from .regula import LinearSystem2, rv_count_solutions, rv_enumerate_solutions
 
 
+# Die spec texts whose MarkedDie parse_die_spec remembers, the least
+# recently used dropped first.
+DIE_SPEC_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=DIE_SPEC_MEMO_SIZE)
 def parse_die_spec(spec: str) -> MarkedDie:
-    """Die spec: either lo..hi (consecutive marks, as a range) or a comma list."""
+    """Die spec: either lo..hi (consecutive marks, as a range) or a comma list.
+
+    A MarkedDie is frozen, so one is shared by every call with the same
+    text; a bad spec raises each time, since lru_cache stores no error.
+    """
     spec = spec.strip()
     lo, dots, hi = spec.partition("..")
     try:
@@ -180,9 +199,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_hetero(args) -> int:
-    # each distinct spec text is parsed and validated once
-    dice = {spec: parse_die_spec(spec) for spec in dict.fromkeys(args.die)}
-    pool = DicePool(tuple(dice[spec] for spec in args.die))
+    pool = DicePool(tuple(map(parse_die_spec, args.die)))
     if args.sum is not None:
         count = hetero_count_product(pool, args.sum)
         if args.format == "plain":
@@ -193,17 +210,22 @@ def cmd_hetero(args) -> int:
             print("sum,count")
             print("%d,%d" % (args.sum, count))
         return 0
-    dist = hetero_distribution(pool)
+    low, counts = hetero_counts(pool)
     total = pool.outcome_count
-    values = tuple(chain.from_iterable(dist))
+    # the templates' values: each sum with a nonzero count, then that count
+    nonzero = list(filter(None, counts))
+    values = nonzero * 2
+    values[::2] = compress(range(low, low + len(counts)), counts)
+    values[1::2] = nonzero
+    values = tuple(values)
     if args.format == "plain":
-        print("\n".join(["%d %d"] * len(dist)) % values)
+        print("\n".join(["%d %d"] * len(nonzero)) % values)
         print("total %d" % total)
     elif args.format == "json":
-        lines = ",\n".join([_DIST_ENTRY_JSON] * len(dist)) % values
+        lines = ",\n".join([_DIST_ENTRY_JSON] * len(nonzero)) % values
         print(_DIST_JSON % (_dice_json(pool), total, lines))
     else:
-        print("\n".join(["sum,count", *["%d,%d"] * len(dist)]) % values)
+        print("\n".join(["sum,count", *["%d,%d"] * len(nonzero)]) % values)
         print("total,%d" % total)
     return 0
 
@@ -474,28 +496,37 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+# The action kinds the fast path stores itself. An option of any other kind
+# is left out of its table, so a line that uses one goes to argparse.
+_FAST_KINDS = {argparse._StoreAction: "store", argparse._StoreTrueAction: "flag",
+               argparse._AppendAction: "append"}
+
+
 @functools.cache
-def _fast_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set, set]:
+def _fast_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set]:
     """What the fast path needs of one subcommand's parser, read once.
 
-    Each whole option string whose action takes one value or none, mapped
-    to that action; the values argparse starts the namespace with (action
-    defaults first, then ``set_defaults``); the required actions; and the
-    ``append`` actions. Help is left out, so ``-h`` sends the line to
-    argparse.
+    Each whole option string of a ``store`` action taking one value, a
+    ``store_true`` flag or an ``append`` action taking one value, mapped to
+    (action, dest, type, choices as a set or None, kind); the values
+    argparse starts the namespace with (action defaults first, then
+    ``set_defaults``); and the required actions. Help is left out, so
+    ``-h`` sends the line to argparse.
     """
     options, defaults = {}, {}
     for action in command._actions:
         if action.default is argparse.SUPPRESS:  # -h and --help
             continue
         defaults.setdefault(action.dest, action.default)
-        if action.nargs in (None, 0):
-            options.update(dict.fromkeys(action.option_strings, action))
+        kind = _FAST_KINDS.get(type(action))
+        if kind is not None and action.nargs in (None, 0):
+            choices = None if action.choices is None else set(action.choices)
+            entry = (action, action.dest, action.type, choices, kind)
+            options.update(dict.fromkeys(action.option_strings, entry))
     for dest, value in command._defaults.items():
         defaults.setdefault(dest, value)
     required = {action for action in command._actions if action.required}
-    appends = {a for a in options.values() if type(a) is argparse._AppendAction}
-    return options, defaults, required, appends
+    return options, defaults, required
 
 
 def _parse_fast(
@@ -503,45 +534,49 @@ def _parse_fast(
 ) -> argparse.Namespace | None:
     """The namespace argparse makes of a well-formed line, or None.
 
-    Each token must be a whole option string; a flag takes no value and
-    any other option exactly one, which must not start with "-". Values
-    are converted by the action's type, checked against its choices and
-    stored by calling the action itself, as argparse does, except that the
-    values of an ``append`` option (``--die``, ``--gen``) are collected and
-    stored once, after a copy of its default, where argparse's action
-    would copy the whole list on every use. Anything else
-    (an unknown, abbreviated or ``--opt=value`` token, ``-h``, a missing or
-    dash-led value, a failed conversion or choice, a missing required
-    option) returns None, and argparse reads the line.
+    Each token must be a whole option string of :func:`_fast_table`; a flag
+    takes no value and any other option exactly one, which must not start
+    with "-". Values are converted by the option's type, checked against
+    its choices and written into a copy of the defaults, and the namespace
+    is made once, at the end. The values of an ``append`` option (``--die``,
+    ``--gen``) are collected and stored once, after a copy of its default,
+    where argparse's action would copy the whole list on every use.
+    Anything else (an unknown, abbreviated or ``--opt=value`` token, ``-h``,
+    a missing or dash-led value, a failed conversion or choice, a missing
+    required option) returns None, and argparse reads the line.
     """
-    options, defaults, required, appends = _fast_table(command)
-    args = argparse.Namespace(command=name, **defaults)
-    seen, appended = set(), {}
+    options, defaults, required = _fast_table(command)
+    values, seen, appended = dict(defaults), set(), {}
     tokens = iter(tokens)
     for token in tokens:
-        action = options.get(token)
-        if action is None:
+        entry = options.get(token)
+        if entry is None:
             return None
+        action, dest, convert, choices, kind = entry
         seen.add(action)
-        if action.nargs == 0:
-            action(command, args, [], token)
+        if kind == "flag":
+            values[dest] = True
             continue
         value = next(tokens, "-")  # a missing value gives up like a dash-led one
         if value.startswith("-"):
             return None
-        if action.type is not None:
+        if convert is not None:
             try:
-                value = action.type(value)
+                value = convert(value)
             except (TypeError, ValueError, argparse.ArgumentTypeError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        if action in appends:
-            appended.setdefault(action.dest, []).append(value)
+        if kind == "append":
+            appended.setdefault(dest, []).append(value)
         else:
-            action(command, args, value, token)
-    for dest, values in appended.items():
-        setattr(args, dest, [*(getattr(args, dest) or ()), *values])
+            values[dest] = value
+    for dest, items in appended.items():
+        values[dest] = [*(values[dest] or ()), *items]
+    # filled in one dict update: Namespace(**values) would set each
+    # attribute in a Python loop
+    args = argparse.Namespace()
+    vars(args).update(values, command=name)
     return args if required <= seen else None
 
 

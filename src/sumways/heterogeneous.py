@@ -11,10 +11,13 @@ shapes, {marks: copies}. The map gives the least and greatest sums, the
 symmetry test and the outcome count shape by shape, and it goes whole to
 ``series.marks_product``.
 
-The full distribution, ``hetero_distribution``, is one product up to the
-largest sum. A die is symmetric when its sorted marks pair up, first with
-last, second with second to last and so on, to one sum: every ``range`` is,
-and (0, 1, 1, 2) and (3, 3) are. A pool of symmetric dice has a symmetric
+The full distribution, ``hetero_counts``, is one product up to the
+largest sum, and its counts start at the least sum, as the product's do:
+a pool whose least sum is huge lists only the sums it can throw.
+``hetero_distribution`` pairs its nonzero counts with their sums. A die
+is symmetric when its sorted marks pair up, first with last, second with
+second to last and so on, to one sum: every ``range`` is, and
+(0, 1, 1, 2) and (3, 3) are. A pool of symmetric dice has a symmetric
 distribution, so only its lower half, up to the midpoint of the least and
 greatest sums, is expanded, and the upper half is read off it as a mirror.
 A pool with any other die is expanded in full.
@@ -118,8 +121,9 @@ def hetero_count_product(pool: DicePool, N: int) -> Count:
     symmetric, so is the distribution, and a sum above the midpoint is
     folded to its mirror low + top - N; a pool with any asymmetric die is
     not folded. The product of the pool's shapes is then truncated at the
-    sum. A list of N+1 counts past sys.maxsize cannot be indexed, so such
-    a sum is refused before anything is expanded.
+    sum, and its counts start at low. A list of N - low + 1 counts past
+    sys.maxsize cannot be indexed, so such a sum is refused before anything
+    is expanded.
     """
     if N < 0:
         raise ValueError("target sum must be nonnegative")
@@ -128,37 +132,43 @@ def hetero_count_product(pool: DicePool, N: int) -> Count:
         return 0
     if 2 * N > low + top and all(map(_symmetric, pool.shapes)):
         N = low + top - N
-    if N + 1 > sys.maxsize:
-        raise ValueError("sum too large to count: a product of N+1 counts, N of %d bits,"
-                         " cannot be indexed" % N.bit_length())
-    return marks_product(pool.shapes, N)[N]
+    if N - low + 1 > sys.maxsize:
+        raise ValueError("sum too large to count: a product of N-low+1 counts, N-low of"
+                         " %d bits, cannot be indexed" % (N - low).bit_length())
+    return marks_product(pool.shapes, N)[N - low]
 
 
-def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
-    """All achievable sums with their counts, ascending.
+def hetero_counts(pool: DicePool) -> tuple[int, list[Count]]:
+    """The least sum low and the counts at every sum low..top, zeros included.
 
     The counts add up to the number of outcomes (the product of the face
-    counts). When every die is symmetric, so is the distribution: with low
-    and top the least and greatest sums, the count at e equals the count at
-    low + top - e. Such a pool is expanded up to (low + top) // 2 only and
-    the rest is its mirror; a pool with any asymmetric die is expanded up
-    to top. Each is one product of the pool's shapes. A list of top + 1
-    counts past sys.maxsize cannot be indexed, so it is refused before
-    anything is built.
+    counts). When every die is symmetric, so is the distribution: the
+    count at e equals the count at low + top - e. Such a pool is expanded
+    up to (low + top) // 2 only and the rest is its mirror; a pool with
+    any asymmetric die is expanded up to top. Each is one product of the
+    pool's shapes. A list of top - low + 1 counts past sys.maxsize cannot
+    be indexed, so it is refused before anything is built.
     """
     low, top = _support(pool)
-    if top + 1 > sys.maxsize:
+    if top - low + 1 > sys.maxsize:
         raise ValueError(
-            "too many sums to list: the distribution of top+1 counts, top of %d bits,"
-            " cannot be indexed" % top.bit_length()
+            "too many sums to list: the distribution of top-low+1 counts, top-low of"
+            " %d bits, cannot be indexed" % (top - low).bit_length()
         )
     if all(map(_symmetric, pool.shapes)):
         mid = (low + top) // 2
         counts = marks_product(pool.shapes, mid)
-        counts += reversed(counts[low : low + top - mid])
+        counts += reversed(counts[: top - mid])
     else:
         counts = marks_product(pool.shapes, top)
-    return list(compress(enumerate(counts), counts))
+    return low, counts
+
+
+def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
+    """All achievable sums with their counts, ascending: the nonzero counts
+    of :func:`hetero_counts`, each with its sum."""
+    low, counts = hetero_counts(pool)
+    return list(compress(enumerate(counts, low), counts))
 
 
 def _merged_numerator(face_counts: tuple[int, ...], limit: int) -> dict[int, int]:

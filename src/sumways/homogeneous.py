@@ -50,9 +50,10 @@ A miss expands at most about twice as far as N needs, so it costs at most
 about 3x an expansion to N alone, and never expands the full support for
 a small N. Each engine keeps its own memo of at most SHAPE_MEMO_SIZE
 entries, the least recently used dropped first, so the two routes stay
-independent. An entry holds window+1 exact counts of at most n*log2(m)
-bits each: about 77 KB for (190, 6) at window 1024, so each memo, full of
-such shapes, holds about 2.5 MB.
+independent. An ``add-die`` entry holds window+1 exact counts of at most
+n*log2(m) bits each, and a ``poly`` entry the window-n+1 of them from the
+least sum n on: about 72 KB for (190, 6) at window 1024, so each memo,
+full of such shapes, holds about 2.3 MB.
 
 The λ recurrence parks walks instead of a table: checkpoints, each a
 walked shape (n, k), an offset lam and the window of the last k+1 counts
@@ -110,7 +111,8 @@ SHAPE_MEMO_SIZE = 32
 
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def _die_power(n: int, m: int, window: int) -> tuple[Count, ...]:
-    # a face above the window is part of no sum the window keeps
+    # a face above the window is part of no sum the window keeps; the
+    # counts start at the least sum, n
     return tuple(marks_product({range(1, min(m, window) + 1): n}, window))
 
 
@@ -124,7 +126,7 @@ def count_poly(q: HomoQuery) -> Count:
     """
     if q.N < q.n or q.N > q.n * q.m:
         return 0
-    return _die_power(q.n, q.m, min(q.n * q.m, 1 << q.N.bit_length()))[q.N]
+    return _die_power(q.n, q.m, min(q.n * q.m, 1 << q.N.bit_length()))[q.N - q.n]
 
 
 def _add_die_columns(m: int, n_max: int, N_max: int):

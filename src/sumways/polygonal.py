@@ -65,6 +65,7 @@ def ordered_representation_counts(m: int, k: int, bound: int) -> list[int]:
     if not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive int")
     parts = _polygonal_numbers(m, bound)
+    # the parts start at 0, so the product's counts start at x^0
     return marks_product({parts: k}, bound)
 
 

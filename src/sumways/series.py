@@ -3,7 +3,8 @@
 Products of "die" polynomials, each a sum of x^mark over a multiset of
 nonnegative marks, are ``marks_product``: one packed accumulator, a big
 integer with one coefficient per fixed-width slot, starts at 1 and takes
-every die as shifted adds. Callers hand it die shapes with their copies,
+every die as shifted adds, and returns the coefficients from the least
+sum the shapes can throw on. Callers hand it die shapes with their copies,
 ``{marks: copies}``; each shape's runs of marks are found once and its
 copies are applied in a row, shapes with the fewest faces first, under
 one mask built once at the final limit. A die lo..hi stays the ``range``
@@ -101,8 +102,11 @@ def _unpack(packed: int, n: int, width: int) -> list[int]:
 def marks_product(
     shapes: Mapping[tuple[int, ...] | range, int], bound: int
 ) -> list[int]:
-    """Coefficients at x^0..x^bound of the product over die shapes of the
-    sum of x^mark over the shape's marks, raised to its copies.
+    """Coefficients at x^least..x^bound of the product over die shapes of
+    the sum of x^mark over the shape's marks, raised to its copies, where
+    least is the sum of each shape's least mark times its copies: the
+    product has no term below it, so the list starts there, and it is
+    empty when the bound is below it.
 
     Each shape is a nonempty tuple or ``range`` of nonnegative marks; a
     repeated mark counts once per time it appears. The product lives on
@@ -129,7 +133,7 @@ def marks_product(
         least += runs[marks][0][0] * shapes[marks]
     limit = bound - least
     if limit < 0:
-        return [0] * (bound + 1)
+        return []
     width = (outcomes.bit_length() + 7) // 8
     slot = 8 * width
     mask = (1 << (slot * (limit + 1))) - 1
@@ -145,7 +149,7 @@ def marks_product(
             if top > limit:
                 acc &= mask
                 top = limit
-    return [0] * least + _unpack(acc, limit + 1, width)
+    return _unpack(acc, limit + 1, width)
 
 
 def inverse_product_grid(

@@ -105,14 +105,14 @@ def test_count_lambda_refuses_a_window_it_cannot_index(run_cli):
         (("table", "--faces", "6", "--max-dice", "2", "--max-sum", str(10**30)),
          "too many rows to tabulate: a column of N_max+1 counts, N_max of 100 bits,"),
         (("hetero", "--die", "1,%d" % 10**30, "--die", "2,3"),
-         "too many sums to list: the distribution of top+1 counts, top of 100 bits,"),
+         "too many sums to list: the distribution of top-low+1 counts, top-low of 100 bits,"),
         (("virgins", "--gen", "1:1", "--targets", "%d:1" % 10**30),
          "targets too large to count: a lattice of n+1 by v+1 cells, the larger side"
          " of 100 bits,"),
         (("table", "--faces", "6", "--max-dice", str(10**30), "--max-sum", "3"),
          "too many columns to tabulate: a row of n_max counts, n_max of 100 bits,"),
         (("hetero", "--die", "1,%d" % 10**30, "--die", "2,3", "--sum", str(10**29)),
-         "sum too large to count: a product of N+1 counts, N of 97 bits,"),
+         "sum too large to count: a product of N-low+1 counts, N-low of 97 bits,"),
     ],
     ids=["table", "hetero", "virgins", "table-columns", "hetero-sum"],
 )
@@ -142,6 +142,50 @@ def test_refusals_and_the_folded_sum_answer_at_once():
             assert done.stdout == "" and message in done.stderr, line
         else:
             assert (done.stdout, done.stderr) == ("2\n", ""), line
+
+
+def test_a_pool_with_a_huge_least_sum_lists_only_its_sums():
+    # the counts start at the least sum, 10**15 + 1: before, the sum and
+    # the distribution each put 10**15 zeros in front of them and ended in
+    # MemoryError. In a child process under a 1 GB address-space cap and a
+    # timeout. A distribution past sys.maxsize counts is still refused.
+    resource = pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    low = 10**15 + 1
+    pool = "hetero --die %d,%d --die 1,5" % (low - 1, low)
+    lines = [
+        ("%s --sum %d" % (pool, low + 1), 0, "1\n"),
+        (pool, 0, "".join("%d 1\n" % (low + e) for e in (0, 1, 4, 5)) + "total 4\n"),
+        ("%s --sum %d" % (pool, low - 1), 0, "0\n"),
+        ("hetero --die 1,%d --die 2,3" % 10**30, 2, ""),
+    ]
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    for line, code, out in lines:
+        done = subprocess.run([sys.executable, "-m", "sumways.cli", *line.split()],
+                              capture_output=True, text=True, env=env, timeout=20,
+                              preexec_fn=cap)
+        assert (done.returncode, done.stdout) == (code, out), line
+        assert ("cannot be indexed" in done.stderr) == bool(code), line
+
+
+def test_equal_die_specs_share_one_die_and_a_bad_spec_raises_each_time():
+    # the spec memo keeps dice, never errors
+    cli.parse_die_spec.cache_clear()
+    die = cli.parse_die_spec("1..6")
+    assert cli.parse_die_spec("1..6") is die and die.marks == range(1, 7)
+    assert cli.parse_die_spec("0,2,2") is cli.parse_die_spec("0,2,2")
+    assert cli.parse_die_spec(" 1..6") is not die and cli.parse_die_spec(" 1..6") == die
+    for spec in ("1..x", "", "-1,2", "5..3"):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bad die spec"):
+                cli.parse_die_spec(spec)
+    info = cli.parse_die_spec.cache_info()
+    assert (info.currsize, info.maxsize) == (3, cli.DIE_SPEC_MEMO_SIZE)
+    cli.parse_die_spec.cache_clear()
 
 
 def test_table_walks_no_column_past_the_largest_sum(run_cli, monkeypatch):

@@ -133,6 +133,7 @@ def fast(argv):
     return cli._parse_fast(COMMANDS[argv[0]], argv[0], argv[1:])
 
 
+
 # values the fast path must convert exactly as argparse does: leading
 # zeros, digit groups, padding, non-ASCII digits, empty and dash-led
 VALUES = st.one_of(
@@ -219,3 +220,41 @@ def test_fast_path_appends_as_argparse_does():
         assert default == ["a"]
         if "--item" in tokens:
             assert got.item is not default
+
+
+@st.composite
+def token_lines(draw):
+    """A subcommand and a list of uses of its options: whole, abbreviated
+    and unknown option strings, alone (a flag, or a missing value when
+    last), followed by a value or joined to one by "="; values good, bad,
+    dash-led, empty or among some option's choices; any option repeated,
+    and each required one given most of the time, in any order."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = COMMANDS[name]._actions
+    whole = st.sampled_from([s for action in actions for s in action.option_strings])
+    abbreviated = whole.flatmap(
+        lambda s: st.integers(min(len(s), 3), len(s)).map(lambda k: s[:k]))
+    option = st.one_of(whole, whole, abbreviated,
+                       st.sampled_from(["--bogus", "-x", "--", "-", "--die-", "--sums"]))
+    choices = [c for action in actions if action.choices for c in action.choices]
+    value = st.one_of(
+        VALUES, st.sampled_from([*choices, "psychic", "-5", "-x", "-1x", "--sum", "1e3"]))
+    use = st.one_of(
+        option.map(lambda o: [o]),
+        st.tuples(option, value).map(list),
+        st.tuples(option, value).map(lambda ov: ["%s=%s" % ov]),
+        value.map(lambda v: [v]),
+    )
+    uses = draw(st.lists(use, max_size=10))
+    for action in actions:
+        if action.required and draw(st.integers(0, 7)):
+            uses.append([action.option_strings[0], draw(value)])
+    return [name, *(token for tokens in draw(st.permutations(uses)) for token in tokens)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(token_lines(), well_formed_argvs().map(lambda line: line[0])))
+def test_fast_path_gives_up_or_parses_as_parse_args_does(argv):
+    parsed, _, _ = outcome(cli.build_parser().parse_args, argv)
+    got = fast(argv)
+    assert got is None or got == parsed

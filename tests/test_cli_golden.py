@@ -128,22 +128,25 @@ def test_reverse_replay_with_warm_memos_matches_golden():
 
 
 def test_each_distinct_die_spec_is_parsed_once(monkeypatch):
-    # 60 dice written with 10 distinct spec texts: 10 parses per request,
-    # and the output is the golden one
-    calls = []
-    parse = cli.parse_die_spec
+    # 60 dice written with 10 distinct spec texts, over six requests: each
+    # text builds its die once per process, and the output is the golden one
+    built = []
+    real = cli.MarkedDie
 
-    def counting_parse(spec):
-        calls.append(spec)
-        return parse(spec)
+    def counting_die(marks):
+        built.append(marks)
+        return real(marks)
 
-    monkeypatch.setattr(cli, "parse_die_spec", counting_parse)
+    monkeypatch.setattr(cli, "MarkedDie", counting_die)
+    cli.parse_die_spec.cache_clear()
     golden = re.split(r"(?m)^(?=\$ sumways )", GOLDEN.read_text(encoding="utf-8"))
-    for line in INVOCATIONS:
-        if line.startswith("hetero") and line.count("--die") == 60:
-            calls.clear()
-            assert run(line) in golden
-            assert sorted(calls) == sorted(MIXED_DICE)
+    lines = [line for line in INVOCATIONS
+             if line.startswith("hetero") and line.count("--die") == 60]
+    assert len(lines) == 3
+    for line in lines * 2:
+        assert run(line) in golden
+    assert len(built) == len(MIXED_DICE)
+    cli.parse_die_spec.cache_clear()
 
 
 if __name__ == "__main__":

@@ -89,3 +89,36 @@ def test_distribution_renders_as_the_reference(specs, fmt):
     if fmt == "json":
         obj = json.loads(text)
         assert int(obj["total"]) == sum(int(e["count"]) for e in obj["distribution"])
+
+
+# Pools for the distribution reply: dice of even marks only, whose
+# products have zero counts inside their support; asymmetric dice; single
+# dice; and dice raised by 10**15, so the least sum is huge and only the
+# sums above it are listed.
+even_specs = st.lists(st.integers(0, 6).map(lambda v: 2 * v), min_size=1, max_size=4).map(
+    lambda marks: ",".join(map(str, marks)))
+asymmetric_specs = st.sampled_from(["0,1,5", "0,0,1", "2,3,3", "1,2,2", "0,3,4,4"])
+raised_specs = st.tuples(st.integers(0, 3), st.integers(1, 3)).map(
+    lambda lo_len: ",".join(str(10**15 + lo_len[0] + j) for j in range(lo_len[1])))
+pool_specs = st.one_of(
+    st.lists(st.one_of(even_specs, asymmetric_specs, die_specs), min_size=1, max_size=6),
+    st.lists(st.one_of(raised_specs, even_specs, asymmetric_specs), min_size=1, max_size=4),
+    st.one_of(even_specs, asymmetric_specs, raised_specs, die_specs).map(lambda s: [s]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pool_specs)
+@example(["0,2,4"])
+@example(["0,2,4", "0,2,4", "1..3"])
+@example(["0,1,5", "1..3"])
+@example(["1000000000000000,1000000000000001", "1,5"])
+def test_every_distribution_format_renders_as_the_reference(specs):
+    # the reply is written from hetero_counts' list, the reference from
+    # hetero_distribution's (sum, count) pairs
+    argv = ["hetero"]
+    for spec in specs:
+        argv += ["--die", spec]
+    pool = DicePool(tuple(map(cli.parse_die_spec, specs)))
+    for fmt in ("plain", "csv", "json"):
+        assert reply([*argv, "--format", fmt]) == reference_distribution(pool, fmt), fmt

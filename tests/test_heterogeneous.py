@@ -271,18 +271,21 @@ def test_distribution_total_and_symmetry(monkeypatch):
 
 
 def test_a_mirror_shifted_by_one_fails_the_distribution_check():
-    # a seeded mutant: the upper half read one sum too high
-    source = textwrap.dedent(inspect.getsource(heterogeneous.hetero_distribution))
-    mirror = "counts[low : low + top - mid]"
+    # a seeded mutant: the upper half read one sum too high, in
+    # hetero_counts, seen through a hetero_distribution that calls it
+    source = textwrap.dedent(inspect.getsource(heterogeneous.hetero_counts))
+    mirror = "counts[: top - mid]"
     assert source.count(mirror) == 1
     namespace = dict(vars(heterogeneous))
-    exec(source.replace(mirror, "counts[low + 1 : low + 1 + top - mid]"), namespace)
+    exec(source.replace(mirror, "counts[1 : 1 + top - mid]"), namespace)
+    exec(textwrap.dedent(inspect.getsource(heterogeneous.hetero_distribution)), namespace)
+    assert namespace["hetero_counts"] is not heterogeneous.hetero_counts
     assert len(mirror_failures(namespace["hetero_distribution"])) >= 20
 
 
 def test_distribution_refuses_a_list_it_cannot_index():
     pool = DicePool((MarkedDie((1, 10**30)), MarkedDie((2, 3))))
-    with pytest.raises(ValueError, match="distribution of top\\+1 counts, top of 100 bits"):
+    with pytest.raises(ValueError, match="distribution of top-low\\+1 counts, top-low of 100 bits"):
         hetero_distribution(pool)
     assert hetero_count_product(pool, 5) == 0
 

@@ -132,9 +132,15 @@ def shapes_of(factors):
     return Counter(map(tuple, factors))
 
 
+def least_sum(shapes):
+    """The least sum of a {marks: copies} map, where its product starts."""
+    return sum(min(marks) * copies for marks, copies in shapes.items())
+
+
 def schoolbook_product(factors, bound):
     """Coefficients at x^0..x^bound of the product over factors of the sum
-    of x^mark, by schoolbook products of the dense factor polynomials."""
+    of x^mark, by schoolbook products of the dense factor polynomials.
+    ``marks_product`` returns the same list from the least sum on."""
     expect = (1,)
     for marks in factors:
         die = [0] * (max(marks) + 1)
@@ -173,7 +179,9 @@ def products(draw):
 @example(([[2, 3, 3, 4, 4, 5, 5]] * 2, 9))
 def test_marks_product_matches_schoolbook(product):
     factors, bound = product
-    assert marks_product(shapes_of(factors), bound) == schoolbook_product(factors, bound)
+    shapes = shapes_of(factors)
+    want = schoolbook_product(factors, bound)[least_sum(shapes):]
+    assert marks_product(shapes, bound) == want
 
 
 # Shapes whose least mark is above 0: any marks shifted up by 1 to 5, and
@@ -211,7 +219,8 @@ def expanded(shapes):
 @example(({range(3, 12, 4): 3, (5, 6, 6): 2}, 30))
 def test_marks_product_of_shapes_matches_schoolbook(product):
     shapes, bound = product
-    assert marks_product(shapes, bound) == schoolbook_product(expanded(shapes), bound)
+    want = schoolbook_product(expanded(shapes), bound)[least_sum(shapes):]
+    assert marks_product(shapes, bound) == want
 
 
 def test_a_mask_one_slot_short_fails_the_schoolbook_check():
@@ -225,7 +234,7 @@ def test_a_mask_one_slot_short_fails_the_schoolbook_check():
     cases = [({(1, 2, 3): 3}, 5), ({range(2, 5): 2, (1, 1, 4): 1}, 9),
              ({(0, 1): 4}, 2), ({range(1, 7): 3}, 10)]
     for shapes, bound in cases:
-        want = schoolbook_product(expanded(shapes), bound)
+        want = schoolbook_product(expanded(shapes), bound)[least_sum(shapes):]
         assert marks_product(shapes, bound) == want
         assert mutant(shapes, bound) != want, (shapes, bound)
 
@@ -266,7 +275,7 @@ def test_marks_product_finds_runs_of_a_repeated_factor_once(monkeypatch):
     monkeypatch.setattr(series, "_runs", counted_runs)
     die = (1, 2, 2, 5, 6)
     want = schoolbook_product([die] * 4, 30)
-    assert marks_product({die: 4}, 30) == want
+    assert marks_product({die: 4}, 30) == want[4:]
     assert len(calls) == 1
     calls.clear()
     # a pool groups equal dice, distinct objects too, into one shape
@@ -300,7 +309,10 @@ def test_marks_product_finds_runs_of_each_distinct_die_once(monkeypatch):
 
 def test_marks_product_dice_examples():
     d6 = range(1, 7)
-    assert marks_product({d6: 3}, 10)[10] == 27
-    assert marks_product({d6: 4}, 14)[14] == 146
-    assert marks_product({d6: 2, range(1, 4): 1}, 3) == [0, 0, 0, 1]
+    # the list starts at the least sum, so x^N is at N - least
+    assert marks_product({d6: 3}, 10)[10 - 3] == 27
+    assert marks_product({d6: 4}, 14)[14 - 4] == 146
+    assert marks_product({d6: 2, range(1, 4): 1}, 3) == [1]
+    assert marks_product({d6: 2, range(1, 4): 1}, 2) == []
+    assert marks_product({(10**15, 10**15 + 1): 1, range(1, 6): 1}, 10**15 + 2) == [1, 2]
     assert marks_product({}, 2) == [1, 0, 0]
