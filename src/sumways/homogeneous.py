@@ -23,8 +23,8 @@ compute it by genuinely different routes and exist to check one another:
     walk parked at one sum reaches another sum of its shape in |N - N'|
     steps.
     ``lambda_recurrence_trace`` walks up from lam = 0 by the same forward
-    step and records each step; the count records none. Neither steps for
-    a sum outside the support n..n*m.
+    step and records each step, without folding N; the count records
+    none. Neither steps for a sum outside the support n..n*m.
 
 ``count_closed_form``
     alternating binomial sum: inclusion-exclusion over how many dice are
@@ -38,40 +38,53 @@ dice total P, the useful structural facts are: support is n..m*n with value
 wraparound (lam < m) the count is the plain composition count
 C(n+lam-1, lam).
 
-The two expanding engines, ``count_poly`` and ``count_add_die``, answer a
-sum outside the support n..n*m with 0 at their door, each with its own
-check, and remember what they expanded, per die shape (n, m), since one
-expansion holds the count for every sum. Each expands out to the window
-min(n*m, 2^bitlen(N)): the least power of two above N, capped at the full
-support, and computes that window itself. An entry answers every later
-sum with the same window: N from window/2 to window - 1, or, once the
-window is capped, every N from the top power of two below n*m up to n*m.
-A miss expands at most about twice as far as N needs, so it costs at most
-about 3x an expansion to N alone, and never expands the full support for
-a small N. Each engine keeps its own memo of at most SHAPE_MEMO_SIZE
-entries, the least recently used dropped first, so the two routes stay
-independent. An ``add-die`` entry holds window+1 exact counts of at most
-n*log2(m) bits each, and a ``poly`` entry the window-n+1 of them from the
-least sum n on: about 72 KB for (190, 6) at window 1024, so each memo,
-full of such shapes, holds about 2.3 MB.
+By that symmetry every count engine folds its sum into the lower half of
+the support, N' = min(N, n*(m+1) - N), so a sum near the top costs what
+its mirror near the bottom does. Each engine writes the fold itself (λ
+and the closed form fold lam = N' - n), so a wrong fold in one shows up as
+a disagreement with the others. A sum past the top folds below n, so
+N' < n is each engine's one door to 0 outside the support n..n*m.
+``lambda_recurrence_trace`` never folds: it records the steps up to the
+sum it is given.
 
-The λ recurrence parks walks instead of a table: checkpoints, each a
-walked shape (n, k), an offset lam and the window of the last k+1 counts
-up to lam. A count moves a copy of the checkpoint of its shape nearest to
-its offset, if that is nearer than lam = 0, and parks the copy at its own
-offset, so a shape asked in turn near two sums keeps a checkpoint near
-each. A parked window is never changed, so a step that fails leaves the
-park as it was. At most SHAPE_MEMO_SIZE walks are parked in all, the
-least recently used dropped first, so 32 parked walks of (190, 6) shapes
-hold 32 * 7 counts. The closed form keeps no memo: it is the one memo-free
-check the other three are compared against.
+The two expanding engines, ``count_poly`` and ``count_add_die``, remember
+what they expanded, per die shape (n, m), since one expansion holds the
+count for every sum. Each expands out to the window min(n*m,
+2^bitlen(N')): the least power of two above the folded sum N', capped at
+the full support, and computes that window itself. An entry answers every
+later sum with the same window: N' from window/2 to window - 1, or, once
+the window is capped, every N' from the top power of two below n*m up to
+the midpoint, and each sum's mirror with it. A miss expands at most about
+twice as far as N' needs, so it costs at most about 3x an expansion to N'
+alone, and never expands the full support for a small N. Each engine keeps
+its own memo of at most SHAPE_MEMO_SIZE entries, the least recently used
+dropped first, so the two routes stay independent. An ``add-die`` entry
+holds window+1 exact counts of at most n*log2(m) bits each, and a ``poly``
+entry the window-n+1 of them from the least sum n on: about 72 KB for
+(190, 6) at window 1024, so each memo, full of such shapes, holds about
+2.3 MB.
+
+The λ recurrence parks walks instead of a table, one per walked shape
+(n, k) and band of offsets, the band being lam's bit length: an offset
+lam and the window of the last k+1 counts up to lam. A count moves a copy
+of the walk parked in its own band, or a fresh walk from lam = 0 when the
+band has none, and parks the copy at its own offset. Any walk in the band
+is fewer than lam steps away, so it is always nearer than a fresh walk,
+and a shape asked in turn near two sums in different bands keeps a walk
+near each. The trade is at a band's edge: the first count in a band walks
+from lam = 0, even past a walk parked one step away in the band below. A
+parked window is never changed, so a step that fails leaves the park as it
+was. The park is the third ``lru_cache`` of at most SHAPE_MEMO_SIZE
+slots, so 32 parked walks of (190, 6) shapes hold 32 * 7 counts, and all
+three like-dice memos are keyed by die shape and a power-of-two band of
+the sum. The closed form keeps no memo: it is the one memo-free check the
+other three are compared against.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -104,8 +117,8 @@ class HomoQuery:
             raise ValueError("target sum must be nonnegative")
 
 
-# Entries each expanding engine keeps, one per (n, m, window), and λ walks
-# parked in all, one per walked shape and offset (n, k, lam).
+# Entries each like-dice memo keeps: one per (n, m, window) for each
+# expanding engine, and one parked λ walk per (n, k, band of lam).
 SHAPE_MEMO_SIZE = 32
 
 
@@ -121,12 +134,14 @@ def count_poly(q: HomoQuery) -> Count:
 
     The power is expanded out to the window of the module docstring and
     remembered per (n, m, window), so a shape seen before answers any sum
-    in the same window without multiplying. A sum outside the support
-    n..n*m is 0 without an expansion.
+    in the same window without multiplying. The sum is folded into the
+    lower half of the support first, and a sum outside the support n..n*m
+    is 0 without an expansion.
     """
-    if q.N < q.n or q.N > q.n * q.m:
+    N = min(q.N, q.n * (q.m + 1) - q.N)
+    if N < q.n:
         return 0
-    return _die_power(q.n, q.m, min(q.n * q.m, 1 << q.N.bit_length()))[q.N - q.n]
+    return _die_power(q.n, q.m, min(q.n * q.m, 1 << N.bit_length()))[N - q.n]
 
 
 def _add_die_columns(m: int, n_max: int, N_max: int):
@@ -193,10 +208,13 @@ class LambdaStep(NamedTuple):
     value: int
 
 
-# Parked λ walks, (n, k, lam) -> window, the least recently used first. A
-# window is never changed once parked, so it can be read outside the lock.
-_parked: dict[tuple[int, int, int], deque[int]] = {}
-_parked_lock = threading.Lock()
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def _parked(n: int, k: int, band: int) -> list[tuple[int, deque[int]] | None]:
+    """The slot of the λ walk last parked on the shape (n, k) at an offset
+    of bit length ``band``: a one-item list, None until a walk is parked.
+    A parked window is never changed, and the slot's item is replaced
+    whole, so any thread may read it."""
+    return [None]
 
 
 def _seed_walk(m: int) -> tuple[int, deque[int]]:
@@ -272,49 +290,43 @@ def count_lambda_recurrence(q: HomoQuery) -> Count:
                      - (m*n+m-lam) * (n+lam-m)(n)
                      + (m*n-n+m+1-lam) * (n+lam-m-1)(n)
 
-    seeded with (n)(n) = 1 and zeros below; a sum outside the support n..n*m
-    is 0 without a step. Intermediate products are signed; every division
-    is exact (a remainder raises DivisibilityError, since it would mean the
-    values are not the counts this recurrence characterizes).
+    seeded with (n)(n) = 1 and zeros below. The sum is first folded into
+    the lower half of the support, lam = min(N, n*(m+1) - N) - n, and a
+    negative lam, a sum outside the support n..n*m, is 0 without a step.
+    Intermediate products are signed; every division is exact (a remainder
+    raises DivisibilityError, since it would mean the values are not the
+    counts this recurrence characterizes).
 
-    The other n-1 dice show at least 1 each, so no face above N-n+1 is
-    part of a throw summing to N: the count is that of the die shape
-    (n, k), k = min(m, N-n+1), and the recurrence walks that shape. A step
-    reads only the last k+1 values, so only those are kept: memory is
-    O(k * bits of the count), however long the walk, and a huge m builds
-    no huge window. Below lam = k the m-terms of the recurrence read zeros
-    for either shape, so each step is the same as on the full die.
+    The other n-1 dice show at least 1 each, so no face above N-n+1 is part
+    of a throw summing to N: the count is that of the die shape (n, k),
+    k = min(m, lam+1) for the folded lam, and the recurrence walks that
+    shape. A step reads only the last k+1 values, so only those are kept:
+    memory is O(k * bits of the count), however long the walk, and a huge m
+    builds no huge window. Below lam = k the m-terms of the recurrence read
+    zeros for either shape, so each step is the same as on the full die.
 
-    Walks are parked as checkpoints between calls, as the module docstring
-    says: a count starts from a copy of the parked walk of its shape (n, k)
-    whose offset is nearest to lam, when that is nearer than a fresh walk
-    from lam = 0, moves the copy up or down to lam and parks it there; the
-    walk it copied stays parked as it was. The walk records nothing per
-    step; ``lambda_recurrence_trace`` walks afresh and keeps its steps.
+    Walks are parked between calls, one per shape (n, k) and band
+    lam.bit_length(), as the module docstring says: a count starts from a
+    copy of the walk parked in its band, or from lam = 0 when there is
+    none, moves the copy up or down to lam, checks that the count is not
+    negative and only then parks the copy in the band's slot; the walk it
+    copied is left as it was. The walk records nothing per step;
+    ``lambda_recurrence_trace`` walks afresh and keeps its steps.
     """
-    if q.N < q.n or q.N > q.n * q.m:
+    n, lam = q.n, min(q.N, q.n * (q.m + 1) - q.N) - q.n
+    if lam < 0:
         return 0
-    n, lam = q.n, q.N - q.n
     k = min(q.m, lam + 1)
-    source, best = None, lam  # a fresh walk is lam steps away
-    with _parked_lock:
-        for key in _parked:
-            if key[0] == n and key[1] == k and abs(key[2] - lam) < best:
-                source, best = key, abs(key[2] - lam)
-        if source:
-            _parked[source] = parked = _parked.pop(source)  # now the most recent
-    walk = (source[2], deque(parked, maxlen=k + 1)) if source else _seed_walk(k)
-    window = _lambda_walk(n, k, walk, lam)[1]
+    slot = _parked(n, k, lam.bit_length())
+    at, window = slot[0] or _seed_walk(k)
+    window = _lambda_walk(n, k, (at, window.copy()), lam)[1]
     value = window[-1]
     if value < 0:
         raise DivisibilityError(
             "recurrence ended at negative count %d for n=%d m=%d N=%d"
             % (value, q.n, q.m, q.N)
         )
-    with _parked_lock:
-        _parked[n, k, lam] = window
-        if len(_parked) > SHAPE_MEMO_SIZE:
-            del _parked[next(iter(_parked))]
+    slot[0] = lam, window
     return value
 
 
@@ -337,7 +349,9 @@ def count_closed_form(q: HomoQuery) -> Count:
     (-1)^j * C(n, j) * C(n + rest - 1, rest), rest = lam - j*m:
     compositions with j dice pushed past face m, signed by
     inclusion-exclusion. The sum is the count itself, so no clamping is
-    needed.
+    needed. lam is folded into the lower half of the support first,
+    lam = min(N, n*(m+1) - N) - n, so a sum near the top sums as few terms
+    as its mirror, and a negative lam, a sum outside n..n*m, is 0.
 
     The walk runs j downward from its top value, where each binomial is
     computed once, and updates them by exact ratios: C(n, j-1) =
@@ -349,7 +363,7 @@ def count_closed_form(q: HomoQuery) -> Count:
     step computes C(n + rest - 1, rest) afresh.
     """
     n, m = q.n, q.m
-    lam = q.N - n
+    lam = min(q.N, n * (m + 1) - q.N) - n
     if lam < 0:
         return 0
     top = min(n, lam // m)
@@ -381,12 +395,14 @@ def count_add_die(q: HomoQuery) -> Count:
     """Point query answered by the add-a-die columns; only the last is read.
 
     The last column is built over the window of the module docstring and
-    remembered per (n, m, window), in a memo of its own. A sum outside the
+    remembered per (n, m, window), in a memo of its own. The sum is folded
+    into the lower half of the support first, and a sum outside the
     support n..n*m is 0 without an expansion.
     """
-    if q.N < q.n or q.N > q.n * q.m:
+    N = min(q.N, q.n * (q.m + 1) - q.N)
+    if N < q.n:
         return 0
-    return _last_add_die_column(q.n, q.m, min(q.n * q.m, 1 << q.N.bit_length()))[q.N]
+    return _last_add_die_column(q.n, q.m, min(q.n * q.m, 1 << N.bit_length()))[N]
 
 
 ENGINES = {

@@ -137,18 +137,10 @@ def marks_product(
     width = (outcomes.bit_length() + 7) // 8
     slot = 8 * width
     mask = (1 << (slot * (limit + 1))) - 1
-    acc, top = 1, 0
+    acc = 1
     for marks, shape_runs in runs.items():
-        span = shape_runs[-1][0] + shape_runs[-1][1] - 1 - shape_runs[0][0]
         for _ in range(shapes[marks]):
-            acc = _add_die(acc, shape_runs, slot, limit)
-            # top: the accumulator's degree; the mask copies the whole
-            # accumulator, so it is applied only once the product reaches
-            # past the limit
-            top += span
-            if top > limit:
-                acc &= mask
-                top = limit
+            acc = _add_die(acc, shape_runs, slot, limit) & mask
     return _unpack(acc, limit + 1, width)
 
 

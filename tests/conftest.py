@@ -8,7 +8,7 @@ def clear_memos():
     ``add-die`` expansions and the parked λ walks."""
     homogeneous._die_power.cache_clear()
     homogeneous._last_add_die_column.cache_clear()
-    homogeneous._parked.clear()
+    homogeneous._parked.cache_clear()
 
 
 @pytest.fixture

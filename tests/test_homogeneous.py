@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import sys
+import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -232,6 +234,68 @@ def test_engines_agree_with_each_other_and_oracle():
                 assert values[0] == brute_dice(pool, N), (n, m, N)
 
 
+@st.composite
+def mirrored_queries(draw):
+    """A shape small enough for the brute oracle and an offset in the lower
+    half of its support: the sum n + lam and its mirror n*m - lam."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return n, m, draw(st.integers(0, n * (m - 1) // 2))
+
+
+def assert_agree_on_both_halves(engines, n, m, lam):
+    pool = consecutive_pool((m,) * n)
+    for N in (n + lam, n * m - lam):
+        want = brute_dice(pool, N)
+        for engine in engines:
+            assert engine(HomoQuery(n, m, N)) == want, (engine.__name__, n, m, N)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mirrored_queries())
+@example((3, 6, 4))  # 7 and its mirror 14, on either side of the midpoint 10.5
+@example((4, 6, 10))  # the midpoint 14 itself
+@example((5, 6, 12))  # 17 and 18, the two middle sums of an odd n*(m+1)
+@example((6, 1, 0))  # a support of one sum
+@example((1, 6, 0))
+def test_every_engine_equals_the_oracle_on_both_halves(query):
+    clear_memos()
+    assert_agree_on_both_halves(ALL_ENGINES, *query)
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
+def test_a_fold_off_by_one_fails_the_agreement_check(name):
+    # a seeded mutant: one engine folds a sum above the midpoint one step
+    # too low
+    engine = ENGINES[name]
+    source = textwrap.dedent(inspect.getsource(engine))
+    fold = "+ 1) - q.N)"
+    assert source.count(fold) == 1
+    namespace = dict(vars(homogeneous))
+    exec(source.replace(fold, "+ 1) - q.N - 1)"), namespace)
+    mutant = namespace[engine.__name__]
+    clear_memos()
+    assert_agree_on_both_halves([engine], 3, 6, 4)
+    with pytest.raises(AssertionError):
+        assert_agree_on_both_halves([mutant], 3, 6, 4)
+    clear_memos()
+
+
+def test_a_sum_near_the_top_costs_what_its_mirror_does():
+    # 29999998 on three dice of 10**7 faces is the mirror of 5: unfolded,
+    # poly and add-die ran out of memory and λ walked for seconds
+    q = HomoQuery(3, 10**7, 29999998)
+    for name, engine in ENGINES.items():
+        clear_memos()
+        tracemalloc.start()
+        try:
+            count = engine(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 6, name
+        assert peak < 64 * 1024, name
+
+
 def test_symmetry():
     for n in range(1, 7):
         for m in (2, 3, 6):
@@ -388,28 +452,36 @@ def test_truncated_table_cells_match_closed_form(m, n_max, N_max):
 # expanding engines and the parked λ walks. Each example starts from empty
 # memos, so a failure replays the same way.
 EXPANSIONS = (homogeneous._die_power, homogeneous._last_add_die_column)
+MEMOS = (*EXPANSIONS, homogeneous._parked)
+
+
+def folded_lam(q):
+    return min(q.N, q.n * (q.m + 1) - q.N) - q.n
 
 
 def parked(q):
-    """The values of the window parked at q's walk, (n, min(m, N-n+1),
-    N-n), or None."""
-    window = homogeneous._parked.get((q.n, min(q.m, q.N - q.n + 1), q.N - q.n))
-    return window and list(window)
+    """The walk parked in the slot q's count uses, (lam, its window's
+    values), or None. Reading a slot creates it, so a test reads only the
+    slots of sums it counted."""
+    lam = folded_lam(q)
+    walk = homogeneous._parked(q.n, min(q.m, lam + 1), lam.bit_length())[0]
+    return walk and (walk[0], list(walk[1]))
 
 
-def park():
-    """Every parked walk as ((n, k, lam), its window's values), in the
-    park's order, least recently used first."""
-    return [(key, list(window)) for key, window in homogeneous._parked.items()]
-
-
-def assert_park_is_exact():
-    """Every parked window holds the counts of its shape (n, k) at the
-    offsets lam-k..lam, 0 below the support, and the park is bounded."""
-    assert len(homogeneous._parked) <= homogeneous.SHAPE_MEMO_SIZE
-    for (n, k, lam), window in park():
-        assert window == [count_closed_form(HomoQuery(n, k, n + j)) if j >= 0 else 0
-                          for j in range(lam - k, lam + 1)], (n, k, lam)
+def assert_park_is_exact(queries):
+    """The slot of each query inside the support is empty or holds a walk in
+    the query's band whose window holds the counts of its shape (n, k) at
+    the offsets lam-k..lam, 0 below the support; and the park is bounded."""
+    for q in queries:
+        lam = folded_lam(q)
+        walk = parked(q) if lam >= 0 else None
+        if walk:
+            at, window = walk
+            k = min(q.m, lam + 1)
+            assert at.bit_length() == lam.bit_length(), (q, at)
+            assert window == [count_closed_form(HomoQuery(q.n, k, q.n + j)) if j >= 0 else 0
+                              for j in range(at - k, at + 1)], (q, at)
+    assert homogeneous._parked.cache_info().currsize <= homogeneous.SHAPE_MEMO_SIZE
 
 
 @st.composite
@@ -446,18 +518,19 @@ def test_memoized_engines_match_closed_form_on_any_query_sequence(queries):
         expected = count_closed_form(q)
         assert count_poly(q) == expected, q
         assert count_add_die(q) == expected, q
-        before = park()
+        before = homogeneous._parked.cache_info()
         assert count_lambda_recurrence(q) == expected, q
-        lam = q.N - q.n
-        if 0 <= lam <= (q.m - 1) * q.n:
-            window = parked(q)
-            assert window[-1] == expected, q
+        lam = folded_lam(q)
+        if lam >= 0:
+            at, window = parked(q)
+            assert (at, window[-1]) == (lam, expected), q
             assert len(window) == min(q.m, lam + 1) + 1, q
-        else:  # outside the support no walk is parked or moved
-            assert park() == before, q
-        assert_park_is_exact()
-    for memo in EXPANSIONS:
-        assert memo.cache_info().currsize <= homogeneous.SHAPE_MEMO_SIZE
+        else:  # outside the support no slot is read, so no walk is parked or moved
+            assert homogeneous._parked.cache_info() == before, q
+        assert_park_is_exact([q])
+        for memo in MEMOS:
+            assert memo.cache_info().currsize <= homogeneous.SHAPE_MEMO_SIZE
+    assert_park_is_exact(queries)
 
 
 def test_memo_evicts_least_recent_shape_and_recomputes_it():
@@ -478,16 +551,27 @@ def test_memo_evicts_least_recent_shape_and_recomputes_it():
 def test_memo_entry_serves_every_sum_in_its_window():
     clear_memos()
     n, m = 190, 6
-    for N in range(512, 1024, 37):
+    # 512 up to the midpoint 665, and their mirrors up to 818, all fold
+    # into the window 1024
+    for N in range(512, 819, 37):
         q = HomoQuery(n, m, N)
         assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
     for memo in EXPANSIONS:
         assert memo.cache_info().misses == 1
-    for N in (1024, 1140, 1141, 5000):  # windows capped at the support n*m
+    # 1024 and 1140 fold to 306 and 190, in the windows 512 and 256; 1141
+    # and 5000 lie past the support and expand nothing
+    for N in (1024, 1140, 1141, 5000):
         q = HomoQuery(n, m, N)
         assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
     for memo in EXPANSIONS:
-        assert memo.cache_info().misses == 2
+        assert memo.cache_info().misses == 3
+    # a window is capped at the support n*m once its power of two passes it:
+    # (100, 2) folds every sum to at most 150, in the window 200
+    for N in (128, 150, 170, 172):
+        q = HomoQuery(100, 2, N)
+        assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
+    for memo in EXPANSIONS:
+        assert memo.cache_info().misses == 4
 
 
 # The λ recurrence keeps only the last m+1 values. The reference below keeps
@@ -581,7 +665,9 @@ def test_lambda_short_walk_with_many_faces_allocates_no_window_of_m():
         tracemalloc.stop()
     assert count == 4 == trace[-1].value
     assert moved == [4, 39, 2, 6]
-    assert len(homogeneous._parked[2, 39, 38]) == 40
+    # 40 on 10**12 faces walked the shape (2, 39) to lam 38: 0 at lam -1,
+    # then lam + 1 throws at each lam
+    assert parked(HomoQuery(2, 10**12, 40)) == (38, list(range(40)))
     assert peak < 64 * 1024  # a window of m zeros would take about 8 MB
     # no engine builds a die of m faces for a sum far below m
     for name, engine in ENGINES.items():
@@ -600,15 +686,20 @@ def test_lambda_trace_walks_afresh_past_a_parked_walk():
     clear_memos()
     q = HomoQuery(6, 6, 25)
     fresh = lambda_recurrence_trace(q)
+    counted = []
     for N in (30, 25, 12, 36):
-        assert count_lambda_recurrence(HomoQuery(6, 6, N)) == count_closed_form(
-            HomoQuery(6, 6, N))
-        before = park()
+        counted.append(HomoQuery(6, 6, N))
+        assert count_lambda_recurrence(counted[-1]) == count_closed_form(counted[-1])
+        walks, info = [parked(c) for c in counted], homogeneous._parked.cache_info()
         assert lambda_recurrence_trace(q) == fresh, N
-        assert park() == before, N  # the trace neither read nor moved a parked walk
-    # 6 walked afresh, and 30 from a copy of 24, which that move used
-    assert [key for key, _ in park()] == [(6, 6, 19), (6, 6, 6), (6, 6, 24), (6, 6, 30)]
-    assert_park_is_exact()
+        # the trace neither read a slot nor moved a parked walk
+        assert homogeneous._parked.cache_info() == info, N
+        assert [parked(c) for c in counted] == walks, N
+    # 30 and 12 fold to lam 6, 25 to lam 11 and 36 to lam 0: one walk in
+    # each of three bands, and the trace, unfolded, walked 25 to lam 19
+    assert [parked(c)[0] for c in counted] == [6, 11, 6, 0]
+    assert fresh[-1].lam == 19
+    assert_park_is_exact(counted)
 
 
 def moves_recorded(monkeypatch):
@@ -627,23 +718,25 @@ def moves_recorded(monkeypatch):
 def test_lambda_backward_move_crosses_a_full_window(monkeypatch):
     clear_memos()
     moves = moves_recorded(monkeypatch)
-    n, m = 12, 5
+    n, m = 12, 5  # offsets 0..48, folded to 0..24
 
     def counts(lam_lo, lam_hi):
         return [count_closed_form(HomoQuery(n, m, n + lam)) for lam in range(lam_lo, lam_hi + 1)]
 
-    assert count_lambda_recurrence(HomoQuery(n, m, 50)) == counts(38, 38)[0]
-    assert parked(HomoQuery(n, m, 50)) == counts(38 - m, 38)
-    # m + 5 steps back, 1 step back, a fresh walk up to 7 (nearer than 27),
-    # then 3 steps back into the zeros below 0
-    for lam in (28, 27, 7, 4):
-        q = HomoQuery(n, m, n + lam)
+    queries = [HomoQuery(n, m, n + lam) for lam in (23, 17, 16, 7, 4)]
+    assert count_lambda_recurrence(queries[0]) == counts(23, 23)[0]
+    assert parked(queries[0]) == (23, counts(23 - m, 23))
+    # m + 1 steps back and 1 step back in the band 16..31, a fresh walk up
+    # to 7 in the band 4..7, then 3 steps back into the zeros below 0
+    for q in queries[1:]:
+        lam = q.N - n
         assert count_lambda_recurrence(q) == count_closed_form(q), lam
         # each step back recomputed the oldest value, so the window is exact
-        assert parked(q) == [0] * (m - lam) + counts(max(lam - m, 0), lam), lam
-    assert count_lambda_recurrence(HomoQuery(n, m, 50)) == counts(38, 38)[0]
-    assert moves == [(0, 38), (38, 28), (28, 27), (0, 7), (7, 4), (38, 38)]
-    assert_park_is_exact()
+        assert parked(q) == (lam, [0] * (m - lam) + counts(max(lam - m, 0), lam)), lam
+    # the band 16..31 now holds the walk at 16, 7 steps below 23
+    assert count_lambda_recurrence(queries[0]) == counts(23, 23)[0]
+    assert moves == [(0, 23), (23, 17), (17, 16), (0, 7), (7, 4), (16, 23)]
+    assert_park_is_exact(queries)
 
 
 @pytest.mark.parametrize("N, start, fail_at", [
@@ -651,12 +744,13 @@ def test_lambda_backward_move_crosses_a_full_window(monkeypatch):
     pytest.param(40, 50, "step back from lam=", id="40-step back from lam="),
 ])
 def test_lambda_remainder_parks_no_walk(monkeypatch, N, start, fail_at):
-    # a walk is parked at a sum 10 from N, then one step of the move of its
-    # copy to N, forward (70) or back (40), is made to leave a remainder
+    # a walk is parked at a sum 10 from N, in N's band, then one step of the
+    # move of its copy to N, forward (70) or back (40), is made to leave a
+    # remainder
     clear_memos()
     start = HomoQuery(20, 6, start)
     assert count_lambda_recurrence(start) == count_closed_form(start)
-    before = park()
+    before = parked(start)
     calls = itertools.count(1)
 
     def leaving_a_remainder(a, b):
@@ -669,32 +763,65 @@ def test_lambda_remainder_parks_no_walk(monkeypatch, N, start, fail_at):
         with pytest.raises(homogeneous.DivisibilityError, match=fail_at):
             count_lambda_recurrence(q)
     # the failed move parked nothing and left the walk it copied as it was
-    assert park() == before
+    assert parked(start) == before
     assert count_lambda_recurrence(q) == count_closed_form(q)
-    assert [key for key, _ in park()] == [(20, 6, start.N - 20), (20, 6, N - 20)]
-    assert_park_is_exact()
+    # the band's one slot now holds the walk at N
+    assert parked(start)[0] == parked(q)[0] == N - 20
+    assert_park_is_exact([start, q])
 
 
 def test_lambda_alternating_sums_start_from_the_nearest_parked_walk(monkeypatch):
-    # one shape asked in turn near two sums far apart: after the first visit
-    # to each, every count moves a copy of a walk parked at most 6 away
+    # one shape asked in turn near two sums far apart, in the bands 64..127
+    # and 256..511: after the first visit to each, every count moves a copy
+    # of a walk parked at most 6 away
     clear_memos()
     moves = moves_recorded(monkeypatch)
+    queries = []
     for d in (0, 3, -3, 1, -2, 2, -1, 3, -3):
         for N in (270 + d, 426 + d):
-            q = HomoQuery(160, 7, N)
-            assert count_lambda_recurrence(q) == count_closed_form(q), N
+            queries.append(HomoQuery(160, 7, N))
+            assert count_lambda_recurrence(queries[-1]) == count_closed_form(queries[-1]), N
     steps = [abs(to - at) for at, to in moves]
     assert len(steps) == 18 and max(steps[2:]) <= 6, steps
-    assert_park_is_exact()
+    assert_park_is_exact(queries)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["up", "down"])
+def test_lambda_sweep_over_the_lower_half_moves_at_most_four_steps_per_offset(
+        monkeypatch, order):
+    # every offset of the lower half in turn, up or down: the first count in
+    # each band walks from lam = 0, and every later one a step from the last
+    clear_memos()
+    moves = moves_recorded(monkeypatch)
+    n, m = 300, 6
+    half = n * (m - 1) // 2  # L = 750 offsets
+    for lam in range(half + 1)[::order]:
+        q = HomoQuery(n, m, n + lam)
+        assert count_lambda_recurrence(q) == count_poly(q), lam
+    assert sum(abs(to - at) for at, to in moves) <= 4 * half
+
+
+def test_lambda_first_count_in_a_band_walks_afresh(monkeypatch):
+    # the trade of parking by band: lam 63 and 64 lie in the bands 32..63 and
+    # 64..127, so the count at 64 walks from 0, though a walk is parked one
+    # step away; each then answers its own band again with no step
+    clear_memos()
+    moves = moves_recorded(monkeypatch)
+    n, m = 40, 6
+    for lam in (63, 64, 63, 64):
+        q = HomoQuery(n, m, n + lam)
+        assert count_lambda_recurrence(q) == count_closed_form(q), lam
+    assert moves == [(0, 63), (0, 64), (63, 63), (64, 64)]
 
 
 def test_lambda_threads_copy_parked_walks_safely():
-    # parked windows are read outside the lock: four threads that move one
+    # parked windows are read with no lock: four threads that move one
     # shape up and down through each other's walks all count exactly
     clear_memos()
     n, m = 40, 6
-    sums = range(n + m - 1, n * m + 1, 3)  # k = m for each
+    # k = m at each sum of the lower half, and the sums above the midpoint
+    # 140 fold onto the walks of their mirrors
+    sums = range(n + m - 1, n * m + 1, 3)
     orders = [list(sums), list(reversed(sums)), [*sums[::2], *reversed(sums[1::2])],
               [*reversed(sums[::2]), *sums[1::2]]]
 
@@ -711,7 +838,7 @@ def test_lambda_threads_copy_parked_walks_safely():
     for result in results:
         for N, count in result:
             assert count == count_closed_form(HomoQuery(n, m, N)), N
-    assert_park_is_exact()
+    assert_park_is_exact([HomoQuery(n, m, N) for N in sums])
 
 
 def test_lambda_refuses_a_window_it_cannot_index():
