@@ -22,20 +22,26 @@ distribution, so only its lower half, up to the midpoint of the least and
 greatest sums, is expanded, and the upper half is read off it as a mirror.
 A pool with any other die is expanded in full.
 
-Two engines for one sum:
+Two engines for one sum, each of which folds a sum above the midpoint of
+the support into the lower half first, so a sum near the top costs what
+its mirror near the bottom does:
 
 ``hetero_count_product``
     multiply the dice polynomials with ``series.marks_product``, the packed
     accumulator that takes each die as shifted adds, and read the
-    coefficient. Works for any marks. A sum above the midpoint of a pool of
-    symmetric dice is folded to its mirror first.
+    coefficient. Works for any marks. Reflecting every die, v -> least +
+    greatest - v on its own marks, maps a throw summing to N to one summing
+    to low + top - N, so a sum above the midpoint of any pool is counted as
+    its mirror on the reflected pool. A ``range`` is its own reflection, as
+    is every symmetric die.
 
 ``hetero_count_closed_form``
-    for dice marked 1..m_i only: expand the product of (1 - x^(m_i)) on a
-    dense list of signed coefficients, one shifted subtraction per factor,
-    up to the sum asked for less the number of dice; shift by the number of
-    dice, and divide by (1 - x)^k via binomials. Evaluates single
-    coefficients without building the product.
+    for dice marked 1..m_i only: fold the sum to its mirror k + sum(m_i) - N
+    when that is lower (these dice are symmetric), expand the product of
+    (1 - x^(m_i)) on a dense list of signed coefficients, one shifted
+    subtraction per factor, up to the folded sum less the number of dice;
+    shift by the number of dice, and divide by (1 - x)^k via binomials.
+    Evaluates single coefficients without building the product.
 """
 
 from __future__ import annotations
@@ -117,25 +123,31 @@ def _symmetric(marks: tuple[int, ...] | range) -> bool:
 def hetero_count_product(pool: DicePool, N: int) -> Count:
     """Ordered outcomes of the pool summing to N, by polynomial product.
 
-    A sum outside the support low..top reads 0 at once. When every die is
-    symmetric, so is the distribution, and a sum above the midpoint is
-    folded to its mirror low + top - N; a pool with any asymmetric die is
-    not folded. The product of the pool's shapes is then truncated at the
-    sum, and its counts start at low. A list of N - low + 1 counts past
-    sys.maxsize cannot be indexed, so such a sum is refused before anything
-    is expanded.
+    A sum outside the support low..top reads 0 at once. A sum above the
+    midpoint is folded to its mirror low + top - N on the reflected pool:
+    each tuple die's marks v become least + greatest - v, a ``range`` stays
+    as it is, and the reflected pool has the same support. The product of
+    the shapes is then truncated at the sum, and its counts start at low.
+    A list of N - low + 1 counts past sys.maxsize cannot be indexed, so
+    such a sum is refused before anything is expanded.
     """
     if N < 0:
         raise ValueError("target sum must be nonnegative")
     low, top = _support(pool)
     if N < low or N > top:
         return 0
-    if 2 * N > low + top and all(map(_symmetric, pool.shapes)):
-        N = low + top - N
+    shapes = pool.shapes
+    if 2 * N > low + top:
+        N, shapes = low + top - N, {}
+        for marks, copies in pool.shapes.items():
+            if not isinstance(marks, range):
+                pair = min(marks) + max(marks)
+                marks = tuple(pair - v for v in marks)
+            shapes[marks] = shapes.get(marks, 0) + copies
     if N - low + 1 > sys.maxsize:
         raise ValueError("sum too large to count: a product of N-low+1 counts, N-low of"
                          " %d bits, cannot be indexed" % (N - low).bit_length())
-    return marks_product(pool.shapes, N)[N - low]
+    return marks_product(shapes, N)[N - low]
 
 
 def hetero_counts(pool: DicePool) -> tuple[int, list[Count]]:
@@ -177,14 +189,13 @@ def _merged_numerator(face_counts: tuple[int, ...], limit: int) -> dict[int, int
     The product is expanded on a dense list of coefficients, exponent 0
     upward: a factor subtracts the list shifted up by m_i from itself, one
     C-speed pass over at most 2 * limit + 1 entries, cut back to limit + 1.
-    A factor with m_i > limit is 1 up to x^limit, so it is checked and
-    skipped, and a negative limit leaves no terms. The expansion costs
-    O(k * limit) rather than the 2^k of the unmerged expansion.
+    A factor with m_i > limit is 1 up to x^limit, so it is skipped, and a
+    negative limit leaves no terms. The expansion costs O(k * limit) rather
+    than the 2^k of the unmerged expansion. The face counts are positive
+    ints, checked by the caller.
     """
     acc = [1] if limit >= 0 else []
     for m in face_counts:
-        if not isinstance(m, int) or m < 1:
-            raise ValueError("face counts must be positive ints")
         if m <= limit:
             pad = [0] * m
             acc = list(map(sub, acc + pad, pad + acc))
@@ -199,12 +210,19 @@ def hetero_count_closed_form(face_counts: tuple[int, ...], N: int) -> Count:
     dice. Each merged numerator term c * x^e, shifted to exponent e + k,
     contributes c * C(N - e - k + k - 1, k - 1) when e + k <= N, so the
     numerator is expanded up to x^(N - k) only, where both arguments of
-    the binomial are in range; below k dice no term does.
+    the binomial are in range; below k dice no term does. Every face
+    count is checked first, and then N is folded to min(N, k + sum(m_i) -
+    N): the counts are symmetric about the midpoint of k..sum(m_i), so a
+    sum near the top expands as few terms as its mirror, and a sum past
+    the top folds below k and reads 0.
     """
     if N < 0:
         raise ValueError("target sum must be nonnegative")
     k = len(face_counts)
     if k < 1:
         raise ValueError("need at least one die")
+    if not all(isinstance(m, int) and m >= 1 for m in face_counts):
+        raise ValueError("face counts must be positive ints")
+    N = min(N, k + sum(face_counts) - N)
     terms = _merged_numerator(face_counts, N - k)
     return sum(c * math.comb(N - e - 1, k - 1) for e, c in terms.items())

@@ -49,20 +49,20 @@ sum it is given.
 
 The two expanding engines, ``count_poly`` and ``count_add_die``, remember
 what they expanded, per die shape (n, m), since one expansion holds the
-count for every sum. Each expands out to the window min(n*m,
+count for every sum. Each expands out to the window min(n*(m+1)//2,
 2^bitlen(N')): the least power of two above the folded sum N', capped at
-the full support, and computes that window itself. An entry answers every
-later sum with the same window: N' from window/2 to window - 1, or, once
-the window is capped, every N' from the top power of two below n*m up to
-the midpoint, and each sum's mirror with it. A miss expands at most about
-twice as far as N' needs, so it costs at most about 3x an expansion to N'
-alone, and never expands the full support for a small N. Each engine keeps
-its own memo of at most SHAPE_MEMO_SIZE entries, the least recently used
-dropped first, so the two routes stay independent. An ``add-die`` entry
-holds window+1 exact counts of at most n*log2(m) bits each, and a ``poly``
-entry the window-n+1 of them from the least sum n on: about 72 KB for
-(190, 6) at window 1024, so each memo, full of such shapes, holds about
-2.3 MB.
+the midpoint n*(m+1)//2, past which no folded sum reads, and computes that
+window itself. An entry answers every later sum with the same window: N'
+from window/2 to window - 1, or, once the window is capped, every N' from
+the top power of two below the midpoint up to it, and each sum's mirror
+with it. A miss expands at most about twice as far as N' needs, so it
+costs at most about 3x an expansion to N' alone, and never expands past
+the midpoint. Each engine keeps its own memo of at most SHAPE_MEMO_SIZE
+entries, the least recently used dropped first, so the two routes stay
+independent. An ``add-die`` entry holds window+1 exact counts of at most
+n*log2(m) bits each, and a ``poly`` entry the window-n+1 of them from the
+least sum n on: about 39 KB for (190, 6) at its capped window 665, so each
+memo, full of such shapes, holds about 1.2 MB.
 
 The λ recurrence parks walks instead of a table, one per walked shape
 (n, k) and band of offsets, the band being lam's bit length: an offset
@@ -141,7 +141,8 @@ def count_poly(q: HomoQuery) -> Count:
     N = min(q.N, q.n * (q.m + 1) - q.N)
     if N < q.n:
         return 0
-    return _die_power(q.n, q.m, min(q.n * q.m, 1 << N.bit_length()))[N - q.n]
+    window = min(q.n * (q.m + 1) // 2, 1 << N.bit_length())
+    return _die_power(q.n, q.m, window)[N - q.n]
 
 
 def _add_die_columns(m: int, n_max: int, N_max: int):
@@ -402,7 +403,8 @@ def count_add_die(q: HomoQuery) -> Count:
     N = min(q.N, q.n * (q.m + 1) - q.N)
     if N < q.n:
         return 0
-    return _last_add_die_column(q.n, q.m, min(q.n * q.m, 1 << N.bit_length()))[N]
+    window = min(q.n * (q.m + 1) // 2, 1 << N.bit_length())
+    return _last_add_die_column(q.n, q.m, window)[N]
 
 
 ENGINES = {

@@ -1,7 +1,5 @@
 import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 
@@ -97,79 +95,6 @@ def test_count_lambda_refuses_a_window_it_cannot_index(run_cli):
     assert (code, out) == (2, "")
     assert err == ("error: too many faces to walk: the lambda window of k+1 counts,"
                    " k of 100 bits, cannot be indexed\n")
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("table", "--faces", "6", "--max-dice", "2", "--max-sum", str(10**30)),
-         "too many rows to tabulate: a column of N_max+1 counts, N_max of 100 bits,"),
-        (("hetero", "--die", "1,%d" % 10**30, "--die", "2,3"),
-         "too many sums to list: the distribution of top-low+1 counts, top-low of 100 bits,"),
-        (("virgins", "--gen", "1:1", "--targets", "%d:1" % 10**30),
-         "targets too large to count: a lattice of n+1 by v+1 cells, the larger side"
-         " of 100 bits,"),
-        (("table", "--faces", "6", "--max-dice", str(10**30), "--max-sum", "3"),
-         "too many columns to tabulate: a row of n_max counts, n_max of 100 bits,"),
-        (("hetero", "--die", "1,%d" % 10**30, "--die", "2,3", "--sum", str(10**29)),
-         "sum too large to count: a product of N-low+1 counts, N-low of 97 bits,"),
-    ],
-    ids=["table", "hetero", "virgins", "table-columns", "hetero-sum"],
-)
-def test_a_reply_that_cannot_be_indexed_is_refused(run_cli, argv, message):
-    # each list's length is checked against sys.maxsize before it is built
-    code, out, err = run_cli(*argv)
-    assert (code, out) == (2, "")
-    assert err == "error: %s cannot be indexed\n" % message
-
-
-def test_refusals_and_the_folded_sum_answer_at_once():
-    # in a child process under a timeout: before each fix the table walked
-    # 10**30 columns until killed, the sum ended in OverflowError and the
-    # folded sum in MemoryError
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    lines = [
-        ("table --faces 6 --max-dice %d --max-sum 3" % 10**30, 2, "cannot be indexed"),
-        ("hetero --die 1,%d --die 2,3 --sum %d" % (10**30, 10**29), 2, "cannot be indexed"),
-        ("hetero --die 1..100000000 --die 1..100000000 --sum 199999999", 0, ""),
-    ]
-    for line, code, message in lines:
-        done = subprocess.run([sys.executable, "-m", "sumways.cli", *line.split()],
-                              capture_output=True, text=True, env=env, timeout=20)
-        assert done.returncode == code, line
-        if code:
-            assert done.stdout == "" and message in done.stderr, line
-        else:
-            assert (done.stdout, done.stderr) == ("2\n", ""), line
-
-
-def test_a_pool_with_a_huge_least_sum_lists_only_its_sums():
-    # the counts start at the least sum, 10**15 + 1: before, the sum and
-    # the distribution each put 10**15 zeros in front of them and ended in
-    # MemoryError. In a child process under a 1 GB address-space cap and a
-    # timeout. A distribution past sys.maxsize counts is still refused.
-    resource = pytest.importorskip("resource")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    low = 10**15 + 1
-    pool = "hetero --die %d,%d --die 1,5" % (low - 1, low)
-    lines = [
-        ("%s --sum %d" % (pool, low + 1), 0, "1\n"),
-        (pool, 0, "".join("%d 1\n" % (low + e) for e in (0, 1, 4, 5)) + "total 4\n"),
-        ("%s --sum %d" % (pool, low - 1), 0, "0\n"),
-        ("hetero --die 1,%d --die 2,3" % 10**30, 2, ""),
-    ]
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    for line, code, out in lines:
-        done = subprocess.run([sys.executable, "-m", "sumways.cli", *line.split()],
-                              capture_output=True, text=True, env=env, timeout=20,
-                              preexec_fn=cap)
-        assert (done.returncode, done.stdout) == (code, out), line
-        assert ("cannot be indexed" in done.stderr) == bool(code), line
 
 
 def test_equal_die_specs_share_one_die_and_a_bad_spec_raises_each_time():

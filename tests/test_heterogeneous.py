@@ -157,6 +157,7 @@ def test_closed_form_expands_only_up_to_the_sum_asked_for():
     assert count == 4
     assert peak < 1024 * 1024  # the whole numerator would take about 32 MB
     assert hetero_count_closed_form((10**9, 10**9, 10**9), 10) == 36
+    assert hetero_count_closed_form((10**9, 6), 5) == 4
     # below k dice nothing is expanded, but every face count is still checked
     assert hetero_count_closed_form((10**9, 6), 1) == 0
     for faces in ((6, 0), (0, 6), (2.0, 6)):
@@ -176,6 +177,33 @@ def test_closed_form_equals_product_on_random_pools(faces, data):
     for N in data.draw(st.lists(sums, min_size=1, max_size=6)):
         closed = hetero_count_closed_form(faces, N)
         assert closed == hetero_count_product(pool, N) == dist.get(N, 0), N
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=12), st.integers(0, 400))
+@example([6, 8, 12], 23)
+@example([1], 0)
+def test_closed_form_folds_a_sum_to_its_mirror(faces, at):
+    # a sum and its mirror equal the product, and each expands the
+    # numerator only up to the lower of the two; past the top reads 0
+    faces = tuple(faces)
+    k, top = len(faces), sum(faces)
+    N = k + at % (top - k + 1)
+    pool = consecutive_pool(faces)
+    limits = []
+    real = heterogeneous._merged_numerator
+
+    def spy(face_counts, limit):
+        limits.append(limit)
+        return real(face_counts, limit)
+
+    with mock.patch.object(heterogeneous, "_merged_numerator", spy):
+        for total in (N, k + top - N):
+            count = hetero_count_closed_form(faces, total)
+            assert count == hetero_count_product(pool, total) > 0, total
+        assert hetero_count_closed_form(faces, top + 1 + at) == 0
+    lower = min(N, k + top - N) - k
+    assert limits == [lower, lower, -1 - at]
 
 
 def test_matches_homogeneous_engines():
@@ -352,14 +380,16 @@ pools_of_every_kind = st.one_of(
 @example([(0, 1, 1, 2), (3, 3), range(9, 0, -2)], 9)
 @example([(0, 1, 5), range(1, 4)], 6)
 @example([(0, 0, 1), (2, 3, 3), (1, 2, 2)], 2)
+@example([(0, 1, 5), (5, 4, 0), (0, 1, 5)], 2)
 def test_a_sum_and_its_mirror_match_the_oracle(dice, at):
-    # on both halves of the support; a pool of symmetric dice expands only
-    # up to the lower of a sum and its mirror, any other pool up to the sum
+    # on both halves of the support; every pool, symmetric or not, expands
+    # only up to the lower of a sum and its mirror, a sum above the midpoint
+    # on the pool with each die reflected, v -> least + greatest - v (two
+    # dice that reflect onto each other swap their copies)
     pool = DicePool(tuple(map(MarkedDie, dice)))
     low = sum(min(marks) for marks in dice)
     top = sum(max(marks) for marks in dice)
     N = low + at % (top - low + 1)
-    symmetric = all(map(reflects, dice))
     bounds = []
     real = heterogeneous.marks_product
 
@@ -371,5 +401,5 @@ def test_a_sum_and_its_mirror_match_the_oracle(dice, at):
         for total in (N, low + top - N):
             bounds.clear()
             assert hetero_count_product(pool, total) == brute_dice(pool, total), total
-            folded = min(total, low + top - total) if symmetric else total
-            assert bounds == [folded], (total, symmetric)
+            assert bounds == [min(total, low + top - total)], total
+

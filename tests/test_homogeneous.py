@@ -512,6 +512,8 @@ def query_sequences(draw):
           HomoQuery(9, 4, 21)])
 @example([HomoQuery(3, 10**12, 9), HomoQuery(3, 10**12, 2), HomoQuery(3, 10**12, 4),
           HomoQuery(3, 10**12, 39), HomoQuery(3, 10**12, 3)])
+# parked (190, 6) walks moving up and back down in one process
+@example([HomoQuery(190, 6, N) for N in (1000, 400, 665, 190, 1140)])
 def test_memoized_engines_match_closed_form_on_any_query_sequence(queries):
     clear_memos()
     for q in queries:
@@ -565,13 +567,38 @@ def test_memo_entry_serves_every_sum_in_its_window():
         assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
     for memo in EXPANSIONS:
         assert memo.cache_info().misses == 3
-    # a window is capped at the support n*m once its power of two passes it:
-    # (100, 2) folds every sum to at most 150, in the window 200
+    # a window is capped at the midpoint n*(m+1)//2 once its power of two
+    # passes it: (100, 2) folds every sum to at most 150, in the window 150
     for N in (128, 150, 170, 172):
         q = HomoQuery(100, 2, N)
         assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
     for memo in EXPANSIONS:
         assert memo.cache_info().misses == 4
+
+
+def test_expanding_engines_stop_at_the_midpoint(monkeypatch):
+    # no sum folds past the midpoint n*(m+1)//2, so neither window does:
+    # (190, 6) at 600 expands up to 665, not to its power of two 1024,
+    # while a sum below the midpoint's power of two keeps its own
+    clear_memos()
+    windows = []
+    product, columns = homogeneous.marks_product, homogeneous._add_die_columns
+
+    def product_spy(shapes, bound):
+        windows.append(("poly", bound))
+        return product(shapes, bound)
+
+    def columns_spy(m, n_max, N_max):
+        windows.append(("add-die", N_max))
+        return columns(m, n_max, N_max)
+
+    monkeypatch.setattr(homogeneous, "marks_product", product_spy)
+    monkeypatch.setattr(homogeneous, "_add_die_columns", columns_spy)
+    for N in (600, 665, 680, 300):
+        q = HomoQuery(190, 6, N)
+        assert count_poly(q) == count_add_die(q) == count_closed_form(q), N
+    assert windows == [("poly", 665), ("add-die", 665), ("poly", 512), ("add-die", 512)]
+    clear_memos()
 
 
 # The λ recurrence keeps only the last m+1 values. The reference below keeps

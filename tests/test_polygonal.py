@@ -84,6 +84,7 @@ def test_check_all_positive():
     assert check_all_positive([0], 0) == 0
     squares_cubed = ordered_representation_counts(4, 3, 100)
     assert check_all_positive(squares_cubed, 100) == 7
+    assert check_all_positive(ordered_representation_counts(4, 3, 1000), 1000) == 7
     triangles_cubed = ordered_representation_counts(3, 3, 500)
     assert check_all_positive(triangles_cubed, 500) is None
 
@@ -120,6 +121,9 @@ def test_partset_validation():
         PartSet((1, 1))
     with pytest.raises(ValueError):
         PartSet((-1, 2))
+    # a part that is not an int is refused even when it is nonnegative
+    with pytest.raises(ValueError, match="parts must be nonnegative ints"):
+        PartSet((0, 1.5))
     assert polygonal_parts(3, 10).parts == (0, 1, 3, 6, 10)
     assert PartSet(polygonal_parts(3, 10).parts[1:]).parts == (1, 3, 6, 10)
 
