@@ -47,12 +47,11 @@ its mirror near the bottom does:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import sub
 
-from .series import Count, mark_ends, marks_product
+from .series import Count, mark_ends, marks_product, refuse_unindexable
 
 
 @dataclass(frozen=True)
@@ -144,9 +143,8 @@ def hetero_count_product(pool: DicePool, N: int) -> Count:
                 pair = min(marks) + max(marks)
                 marks = tuple(pair - v for v in marks)
             shapes[marks] = shapes.get(marks, 0) + copies
-    if N - low + 1 > sys.maxsize:
-        raise ValueError("sum too large to count: a product of N-low+1 counts, N-low of"
-                         " %d bits, cannot be indexed" % (N - low).bit_length())
+    refuse_unindexable(N - low + 1, "sum too large to count: a product of N-low+1 counts,"
+                       " N-low", N - low)
     return marks_product(shapes, N)[N - low]
 
 
@@ -162,11 +160,8 @@ def hetero_counts(pool: DicePool) -> tuple[int, list[Count]]:
     be indexed, so it is refused before anything is built.
     """
     low, top = _support(pool)
-    if top - low + 1 > sys.maxsize:
-        raise ValueError(
-            "too many sums to list: the distribution of top-low+1 counts, top-low of"
-            " %d bits, cannot be indexed" % (top - low).bit_length()
-        )
+    refuse_unindexable(top - low + 1, "too many sums to list: the distribution of top-low+1"
+                       " counts, top-low", top - low)
     if all(map(_symmetric, pool.shapes)):
         mid = (low + top) // 2
         counts = marks_product(pool.shapes, mid)
@@ -186,20 +181,18 @@ def hetero_distribution(pool: DicePool) -> list[tuple[int, Count]]:
 def _merged_numerator(face_counts: tuple[int, ...], limit: int) -> dict[int, int]:
     """prod (1 - x^(m_i)) up to x^limit, as {exponent: nonzero coefficient}.
 
-    The product is expanded on a dense list of coefficients, exponent 0
-    upward: a factor subtracts the list shifted up by m_i from itself, one
-    C-speed pass over at most 2 * limit + 1 entries, cut back to limit + 1.
+    The product is expanded on one dense list of limit + 1 coefficients,
+    exponent 0 upward: a factor subtracts the list shifted up by m_i from
+    itself in place, one C-speed pass over the entries from m_i up.
     A factor with m_i > limit is 1 up to x^limit, so it is skipped, and a
     negative limit leaves no terms. The expansion costs O(k * limit) rather
     than the 2^k of the unmerged expansion. The face counts are positive
     ints, checked by the caller.
     """
-    acc = [1] if limit >= 0 else []
+    acc = [1] + [0] * limit if limit >= 0 else []
     for m in face_counts:
         if m <= limit:
-            pad = [0] * m
-            acc = list(map(sub, acc + pad, pad + acc))
-            del acc[limit + 1 :]
+            acc[m:] = map(sub, acc[m:], acc[:-m])
     return {e: c for e, c in enumerate(acc) if c}
 
 

@@ -84,7 +84,6 @@ other three are compared against.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -92,7 +91,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import sub
 from typing import NamedTuple
 
-from .series import Count, marks_product
+from .series import Count, marks_product, refuse_unindexable
 
 
 class DivisibilityError(RuntimeError):
@@ -190,14 +189,9 @@ def count_table_add_die(m: int, n_max: int, N_max: int) -> tuple[tuple[int, ...]
         raise ValueError("need at least one column")
     if not isinstance(N_max, int) or N_max < 1:
         raise ValueError("need at least one row")
-    if N_max + 1 > sys.maxsize:
-        raise ValueError(
-            "too many rows to tabulate: a column of N_max+1 counts, N_max of %d bits,"
-            " cannot be indexed" % N_max.bit_length()
-        )
-    if n_max > sys.maxsize:
-        raise ValueError("too many columns to tabulate: a row of n_max counts, n_max of"
-                         " %d bits, cannot be indexed" % n_max.bit_length())
+    refuse_unindexable(N_max + 1, "too many rows to tabulate: a column of N_max+1 counts,"
+                       " N_max", N_max)
+    refuse_unindexable(n_max, "too many columns to tabulate: a row of n_max counts, n_max", n_max)
     return tuple(zip(*_add_die_columns(m, n_max, N_max)))
 
 
@@ -222,11 +216,7 @@ def _seed_walk(m: int) -> tuple[int, deque[int]]:
     """The walk at lam = 0, where the count is 1, after m zeros below.
     A window of m+1 counts past sys.maxsize cannot be indexed, so it is
     refused before anything is built."""
-    if m + 1 > sys.maxsize:
-        raise ValueError(
-            "too many faces to walk: the lambda window of k+1 counts, k of %d bits,"
-            " cannot be indexed" % m.bit_length()
-        )
+    refuse_unindexable(m + 1, "too many faces to walk: the lambda window of k+1 counts, k", m)
     return 0, deque([0] * m + [1], maxlen=m + 1)
 
 

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, takewhile
+from typing import Iterator
 
-from .series import Count, inverse_product_grid, marks_product
+from .series import Count, inverse_product_grid, marks_product, refuse_unindexable
 
 
 def polygonal_number(m: int, j: int) -> int:
@@ -45,28 +46,32 @@ def polygonal_number(m: int, j: int) -> int:
     return ((m - 2) * j * j - (m - 4) * j) // 2
 
 
-def _polygonal_numbers(m: int, bound: int) -> tuple[int, ...]:
-    """The m-gonal numbers 0, 1, m, ... up to bound, strictly increasing.
+def _polygonal_numbers(m: int, bound: int) -> Iterator[int]:
+    """The m-gonal numbers 0, 1, m, ... up to bound, strictly increasing,
+    drawn lazily.
 
-    The first ``polygonal_number`` call refuses a bad m.
+    The bound is checked at once; the first number drawn refuses a bad m.
     """
     if not isinstance(bound, int) or bound < 0:
         raise ValueError("bound must be nonnegative")
     numbers = (polygonal_number(m, j) for j in count())
-    return tuple(takewhile(lambda p: p <= bound, numbers))
+    return takewhile(lambda p: p <= bound, numbers)
 
 
 def ordered_representation_counts(m: int, k: int, bound: int) -> list[int]:
     """k-th power of the m-gonal series at x^0..x^bound, as bound + 1 counts.
 
     Count at N = ordered k-tuples of m-gonal numbers (zero allowed)
-    summing to N.
+    summing to N. A list of bound + 1 counts past sys.maxsize cannot be
+    indexed, so it is refused before the numbers are listed.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive int")
-    parts = _polygonal_numbers(m, bound)
+    numbers = _polygonal_numbers(m, bound)
+    refuse_unindexable(bound + 1, "bound too large to scan: a series of bound+1 counts,"
+                       " bound", bound)
     # the parts start at 0, so the product's counts start at x^0
-    return marks_product({parts: k}, bound)
+    return marks_product({tuple(numbers): k}, bound)
 
 
 def check_all_positive(counts: list[int], upto: int) -> int | None:
@@ -105,7 +110,7 @@ class PartSet:
 
 def polygonal_parts(m: int, bound: int) -> PartSet:
     """All m-gonal numbers up to bound, 0 included, as a PartSet."""
-    return PartSet(_polygonal_numbers(m, bound))
+    return PartSet(tuple(_polygonal_numbers(m, bound)))
 
 
 def partition_count_grid(parts: PartSet, k_max: int, n_max: int) -> list[list[int]]:

@@ -20,7 +20,7 @@ from itertools import islice
 from sys import maxsize
 from typing import Literal
 
-from .series import Count, inverse_product_grid
+from .series import Count, inverse_product_grid, refuse_unindexable
 
 Mode = Literal["nonnegative", "positive"]
 
@@ -59,11 +59,8 @@ def rv_count_solutions(sys: LinearSystem2) -> Count:
         v -= sum(b for _, b in sys.generators)
         if n < 0 or v < 0:
             return 0
-    if max(n, v) + 1 > maxsize:
-        raise ValueError(
-            "targets too large to count: a lattice of n+1 by v+1 cells, the larger"
-            " side of %d bits, cannot be indexed" % max(n, v).bit_length()
-        )
+    refuse_unindexable(max(n, v) + 1, "targets too large to count: a lattice of n+1 by v+1"
+                       " cells, the larger side", max(n, v))
     return inverse_product_grid(sys.generators, (n, v))[v][n]
 
 

@@ -18,17 +18,31 @@ the second, and adds whole columns at a time. Like ``marks_product``, it
 checks nothing: its callers hand it steps and bounds that their public
 types and functions (``regula.LinearSystem2``, ``polygonal.PartSet`` and
 ``polygonal.partition_count_grid``) have already checked.
+
+The one size rule lives here too: ``refuse_unindexable`` refuses a list of
+more counts than Python can index, past ``sys.maxsize``. The table, λ,
+pool, two-equation and ordered polygonal routes call it before they
+allocate; ``polygonal.partition_count_grid`` does not yet.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from collections import Counter
 from itertools import accumulate, repeat
 from operator import add
 from typing import Mapping, Sequence
 
 Count = int
+
+
+def refuse_unindexable(size: int, what: str, named: int) -> None:
+    """Raise ValueError "<what> of <bits of named> bits, cannot be indexed"
+    when a list of ``size`` items would be longer than sys.maxsize, read at
+    call time; return None otherwise."""
+    if size > sys.maxsize:
+        raise ValueError("%s of %d bits, cannot be indexed" % (what, named.bit_length()))
 
 
 def mark_ends(marks: tuple[int, ...] | range) -> tuple[int, ...] | range:

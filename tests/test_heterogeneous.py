@@ -18,10 +18,11 @@ from sumways.heterogeneous import (
     consecutive_pool,
     hetero_count_closed_form,
     hetero_count_product,
+    hetero_counts,
     hetero_distribution,
 )
 from sumways.homogeneous import HomoQuery, count_poly
-from sumways.oracle import brute_dice
+from sumways.oracle import BudgetExceededError, brute_dice
 
 from test_series import schoolbook
 
@@ -403,3 +404,46 @@ def test_a_sum_and_its_mirror_match_the_oracle(dice, at):
             assert hetero_count_product(pool, total) == brute_dice(pool, total), total
             assert bounds == [min(total, low + top - total)], total
 
+
+# Pools of 10^8 to 10^12 outcomes, past the brute oracle's reach: 9 or 10
+# dice of 8 to 16 faces, each a tuple of marks 0..30, repeats allowed, or
+# a range of step 1 to 3.
+big_pools = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, 30), min_size=8, max_size=16).map(tuple),
+        st.builds(lambda lo, faces, step: range(lo, lo + faces * step, step),
+                  st.integers(0, 20), st.integers(8, 16), st.sampled_from([1, 2, 3])),
+    ),
+    min_size=9, max_size=10,
+)
+
+
+def big_pool(dice):
+    pool = DicePool(tuple(map(MarkedDie, dice)))
+    assert 10**8 <= pool.outcome_count <= 10**12
+    with pytest.raises(BudgetExceededError):
+        brute_dice(pool, 0)
+    return pool
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_pools)
+def test_reflecting_every_die_reverses_a_big_distribution(dice):
+    # v -> least + greatest - v on each die's own marks maps a throw summing
+    # to e onto one summing to low + top - e
+    low, counts = hetero_counts(big_pool(dice))
+    reflected = [tuple(min(marks) + max(marks) - v for v in marks) for marks in dice]
+    assert hetero_counts(big_pool(reflected)) == (low, counts[::-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_pools, st.data())
+def test_a_big_distribution_is_the_convolution_of_its_halves(dice, data):
+    # the throws of A and B together pair every throw of A with every throw
+    # of B; each half is drawn from the pool's own dice
+    cut = data.draw(st.integers(1, len(dice) - 1))
+    low, counts = hetero_counts(big_pool(dice))
+    low_a, counts_a = hetero_counts(DicePool(tuple(map(MarkedDie, dice[:cut]))))
+    low_b, counts_b = hetero_counts(DicePool(tuple(map(MarkedDie, dice[cut:]))))
+    assert low == low_a + low_b
+    assert tuple(counts) == schoolbook(counts_a, counts_b)

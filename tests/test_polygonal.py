@@ -66,6 +66,13 @@ def test_ordered_counts_small():
         ordered_representation_counts(3, 0, 10)
 
 
+def test_ordered_counts_refuse_an_unindexable_bound_at_once():
+    # bound + 1 counts past sys.maxsize: refused before the 1.4 * 10**15
+    # triangular numbers up to 10**30 are listed
+    with pytest.raises(ValueError, match="bound of 100 bits, cannot be indexed"):
+        ordered_representation_counts(3, 2, 10**30)
+
+
 def test_ordered_counts_match_oracle():
     for m in (3, 4, 5):
         for k in (1, 2, 3):

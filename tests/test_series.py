@@ -1,4 +1,5 @@
 import inspect
+import sys
 import textwrap
 from collections import Counter
 
@@ -6,13 +7,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_memos
 from sumways.heterogeneous import (
     DicePool,
     MarkedDie,
     hetero_count_product,
+    hetero_counts,
     hetero_distribution,
 )
+from sumways.homogeneous import HomoQuery, count_lambda_recurrence, count_table_add_die
 from sumways.oracle import brute_regula
+from sumways.polygonal import ordered_representation_counts
 from sumways.regula import LinearSystem2, rv_count_solutions
 from sumways import series
 from sumways.series import inverse_product_grid, marks_product
@@ -316,3 +321,69 @@ def test_marks_product_dice_examples():
     assert marks_product({d6: 2, range(1, 4): 1}, 2) == []
     assert marks_product({(10**15, 10**15 + 1): 1, range(1, 6): 1}, 10**15 + 2) == [1, 2]
     assert marks_product({}, 2) == [1, 0, 0]
+
+
+LIMIT = 64
+
+
+def dice_pool(*dice):
+    return DicePool(tuple(map(MarkedDie, dice)))
+
+
+# Each route that builds a list refuses one of more than sys.maxsize
+# counts: (the call at the limit, the call one past it, the refusal).
+LIMIT_CASES = {
+    "table rows": (
+        lambda: count_table_add_die(6, 2, LIMIT - 1),
+        lambda: count_table_add_die(6, 2, LIMIT),
+        "too many rows to tabulate: a column of N_max+1 counts, N_max of 7 bits,",
+    ),
+    "table columns": (
+        lambda: count_table_add_die(6, LIMIT, 3),
+        lambda: count_table_add_die(6, LIMIT + 1, 3),
+        "too many columns to tabulate: a row of n_max counts, n_max of 7 bits,",
+    ),
+    # k = min(m, lam + 1) faces; the window holds k + 1 counts
+    "lambda window": (
+        lambda: count_lambda_recurrence(HomoQuery(3, LIMIT - 1, 3 + LIMIT - 2)),
+        lambda: count_lambda_recurrence(HomoQuery(3, LIMIT, 3 + LIMIT - 1)),
+        "too many faces to walk: the lambda window of k+1 counts, k of 7 bits,",
+    ),
+    "hetero sum": (
+        lambda: hetero_count_product(dice_pool(range(0, 101), range(0, 101)), LIMIT - 1),
+        lambda: hetero_count_product(dice_pool(range(0, 101), range(0, 101)), LIMIT),
+        "sum too large to count: a product of N-low+1 counts, N-low of 7 bits,",
+    ),
+    "hetero distribution": (
+        lambda: hetero_counts(dice_pool(range(1, 33), range(1, LIMIT - 30))),
+        lambda: hetero_counts(dice_pool(range(1, 33), range(1, LIMIT - 29))),
+        "too many sums to list: the distribution of top-low+1 counts, top-low of 7 bits,",
+    ),
+    "lattice": (
+        lambda: rv_count_solutions(LinearSystem2(((1, 0), (0, 1)), (5, LIMIT - 1))),
+        lambda: rv_count_solutions(LinearSystem2(((1, 0), (0, 1)), (LIMIT, 5))),
+        "targets too large to count: a lattice of n+1 by v+1 cells, the larger side of 7 bits,",
+    ),
+    "ordered polygonal": (
+        lambda: ordered_representation_counts(3, 2, LIMIT - 1),
+        lambda: ordered_representation_counts(3, 2, LIMIT),
+        "bound too large to scan: a series of bound+1 counts, bound of 7 bits,",
+    ),
+}
+
+
+@pytest.mark.parametrize("at_limit, past_limit, refusal", LIMIT_CASES.values(),
+                         ids=LIMIT_CASES)
+def test_each_route_answers_at_the_index_limit_and_refuses_one_past(
+    monkeypatch, at_limit, past_limit, refusal
+):
+    # sys.maxsize is read at call time, so a lowered one moves every limit;
+    # the memos are emptied so that no parked walk skips the refusal
+    clear_memos()
+    monkeypatch.setattr(sys, "maxsize", LIMIT)
+    answer = at_limit()
+    with pytest.raises(ValueError) as refused:
+        past_limit()
+    monkeypatch.undo()
+    assert str(refused.value) == refusal + " cannot be indexed"
+    assert answer == at_limit()
